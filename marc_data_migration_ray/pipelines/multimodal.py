@@ -372,20 +372,20 @@ SELECT media_id,
   CASE g WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS kind,
   CASE WHEN g IN (0, 2) THEN {IMG_W} END AS width,
   CASE WHEN g IN (0, 2) THEN {IMG_H} END AS height,
-  CASE WHEN g = 0 THEN list_sum(list_transform(range({npix}),
-       i -> (media_id * 13 + 3 * i) % 256)) END AS sum_r,
-  CASE WHEN g = 0 THEN list_sum(list_transform(range({npix}),
-       i -> (media_id * 13 + 3 * i + 1) % 256)) END AS sum_g,
-  CASE WHEN g = 0 THEN list_sum(list_transform(range({npix}),
-       i -> (media_id * 13 + 3 * i + 2) % 256)) END AS sum_b,
+  CASE WHEN g = 0 THEN CAST(list_sum(list_transform(range({npix}),
+       i -> (media_id * 13 + 3 * i) % 256)) AS BIGINT) END AS sum_r,
+  CASE WHEN g = 0 THEN CAST(list_sum(list_transform(range({npix}),
+       i -> (media_id * 13 + 3 * i + 1) % 256)) AS BIGINT) END AS sum_g,
+  CASE WHEN g = 0 THEN CAST(list_sum(list_transform(range({npix}),
+       i -> (media_id * 13 + 3 * i + 2) % 256)) AS BIGINT) END AS sum_b,
   CASE WHEN g = 1 THEN 200 + media_id % 100 END AS n_samples,
   CASE WHEN g = 1 THEN {WAV_RATE} END AS sample_rate,
-  CASE WHEN g = 1 THEN list_sum(list_transform(range(200 + media_id % 100),
+  CASE WHEN g = 1 THEN CAST(list_sum(list_transform(range(200 + media_id % 100),
        j -> ((media_id * 31 + j * 7) % 2048 - 1024)
-          * ((media_id * 31 + j * 7) % 2048 - 1024))) END AS sum_sq,
+          * ((media_id * 31 + j * 7) % 2048 - 1024))) AS BIGINT) END AS sum_sq,
   CASE WHEN g = 2 THEN 2 + media_id % 4 END AS n_frames,
-  CASE WHEN g = 2 THEN list_sum(list_transform(range({VID_W * VID_H}),
-       k -> (media_id * 17 + k) % 256)) END AS sum_y0
+  CASE WHEN g = 2 THEN CAST(list_sum(list_transform(range({VID_W * VID_H}),
+       k -> (media_id * 17 + k) % 256)) AS BIGINT) END AS sum_y0
 FROM m
 """
 
@@ -449,15 +449,15 @@ def media_resize_sql() -> str:
 
     return f"""
 SELECT doc_id AS media_id, 4 AS out_h, 4 AS out_w,
-  list_sum(list_transform(range(16),
+  CAST(list_sum(list_transform(range(16),
     i -> (doc_id * 13 + 3 * (((i // 4) * 2) * {IMG_W} + (i % 4) * 2)) % 256))
-    AS sum_r,
-  list_sum(list_transform(range(16),
+    AS BIGINT) AS sum_r,
+  CAST(list_sum(list_transform(range(16),
     i -> (doc_id * 13 + 3 * (((i // 4) * 2) * {IMG_W} + (i % 4) * 2) + 1) % 256))
-    AS sum_g,
-  list_sum(list_transform(range(16),
+    AS BIGINT) AS sum_g,
+  CAST(list_sum(list_transform(range(16),
     i -> (doc_id * 13 + 3 * (((i // 4) * 2) * {IMG_W} + (i % 4) * 2) + 2) % 256))
-    AS sum_b
+    AS BIGINT) AS sum_b
 FROM documents WHERE doc_id % 3 = 0
 """
 
@@ -527,8 +527,8 @@ f AS (SELECT media_id,
                               x -> {every} * x)) AS frame_idx
       FROM v)
 SELECT media_id, frame_idx,
-  list_sum(list_transform(range({npix}),
-    k -> (media_id * 17 + frame_idx * 29 + k) % 256)) AS sum_y
+  CAST(list_sum(list_transform(range({npix}),
+    k -> (media_id * 17 + frame_idx * 29 + k) % 256)) AS BIGINT) AS sum_y
 FROM f
 """
 
@@ -750,9 +750,12 @@ def media_png_decode_sql() -> str:
     return f"""
 SELECT doc_id AS media_id,
   {IMG_W} AS width, {IMG_H} AS height,
-  list_sum(list_transform(range({npix}), i -> {ch.format(c=0)})) AS sum_r,
-  list_sum(list_transform(range({npix}), i -> {ch.format(c=1)})) AS sum_g,
-  list_sum(list_transform(range({npix}), i -> {ch.format(c=2)})) AS sum_b
+  CAST(list_sum(list_transform(range({npix}), i -> {ch.format(c=0)})) AS BIGINT)
+    AS sum_r,
+  CAST(list_sum(list_transform(range({npix}), i -> {ch.format(c=1)})) AS BIGINT)
+    AS sum_g,
+  CAST(list_sum(list_transform(range({npix}), i -> {ch.format(c=2)})) AS BIGINT)
+    AS sum_b
 FROM documents
 """
 
@@ -968,9 +971,11 @@ def media_gif_decode_sql() -> str:
     return f"""
 SELECT doc_id AS media_id,
   {GIF_W} AS width, {GIF_H} AS height,
-  list_sum(list_transform(range({npix}), i -> {idx})) AS sum_r,
-  list_sum(list_transform(range({npix}), i -> (7 * {idx} + 3) % 256)) AS sum_g,
-  list_sum(list_transform(range({npix}), i -> (13 * {idx} + 5) % 256)) AS sum_b
+  CAST(list_sum(list_transform(range({npix}), i -> {idx})) AS BIGINT) AS sum_r,
+  CAST(list_sum(list_transform(range({npix}), i -> (7 * {idx} + 3) % 256))
+    AS BIGINT) AS sum_g,
+  CAST(list_sum(list_transform(range({npix}), i -> (13 * {idx} + 5) % 256))
+    AS BIGINT) AS sum_b
 FROM documents
 """
 
@@ -1057,8 +1062,8 @@ def media_jpeg_decode_sql() -> str:
     return f"""
 SELECT doc_id AS media_id,
   {IMG_JW} AS width, {IMG_JH} AS height,
-  64 * list_sum(list_transform(range({nblocks}),
-                b -> (doc_id * 31 + 17 * b) % 256)) AS sum_gray
+  CAST(64 * list_sum(list_transform(range({nblocks}),
+                b -> (doc_id * 31 + 17 * b) % 256)) AS BIGINT) AS sum_gray
 FROM documents
 """
 
@@ -1138,8 +1143,8 @@ def media_jpeg_color_decode_sql() -> str:
     from marc_data_migration_ray.functions.media import IMG_JH, IMG_JW
 
     nblocks = (IMG_JW // 8) * (IMG_JH // 8)
-    s = (f"64 * list_sum(list_transform(range({nblocks}), "
-         "b -> (doc_id * 23 + 13 * b) % 256))")
+    s = (f"CAST(64 * list_sum(list_transform(range({nblocks}), "
+         "b -> (doc_id * 23 + 13 * b) % 256)) AS BIGINT)")
     return f"""
 SELECT doc_id AS media_id,
   {IMG_JW} AS width, {IMG_JH} AS height,
@@ -1225,8 +1230,8 @@ WITH v AS (SELECT doc_id AS media_id, 2 + doc_id % 4 AS nf
            FROM documents WHERE doc_id % 3 = 2),
 f AS (SELECT media_id, unnest(range(nf - 1)) AS frame_idx FROM v)
 SELECT media_id, frame_idx,
-  list_sum(list_transform(range({npix}),
-    k -> CASE WHEN {px} >= 227 THEN 227 ELSE 29 END)) AS delta_sum,
+  CAST(list_sum(list_transform(range({npix}),
+    k -> CASE WHEN {px} >= 227 THEN 227 ELSE 29 END)) AS BIGINT) AS delta_sum,
   list_sum(list_transform(range({npix}),
     k -> CASE WHEN {px} >= 227 THEN 227 ELSE 29 END))
     > {SCENE_CUT_THRESHOLD} AS is_cut

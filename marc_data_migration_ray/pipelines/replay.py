@@ -31,9 +31,12 @@ imbalance, which the fnv1a hash keeps small. Raw ``@ray.remote`` tasks are
 used for the per-bucket fold because the Dataset API cannot express
 "coalesce pre-partitioned files into per-partition groups without a
 shuffle" (a bare ``groupby(part_id).map_groups`` re-shuffles data that is
-already partitioned on disk — measured 4-10× slower); everything else is
-Dataset-native, and the fold results re-enter the Dataset world via
-``ray.data.from_arrow_refs``.
+already partitioned on disk — measured 4-10× slower). For read_state and
+lookup each fold task also keeps its ``_kind == 'row'`` rows and runs the
+postprocess chain (schema evolution, policies, generated columns,
+projection), returning public-schema rows that re-enter the Dataset world
+via ``ray.data.from_arrow_refs`` with no operator on top; FOLD_SCHEMA's
+noop/metrics ``_kind`` rows reach only ``fold_output`` consumers.
 """
 
 from __future__ import annotations
@@ -398,15 +401,22 @@ def _fold_bucket_task(
     max_lsn: int | None = None,
     key_filter: list[str] | None = None,
     payload_cols: tuple[str, ...] | None = None,
+    post: list | None = None,
 ) -> pa.Table:
     """Fold one hash partition: read its co-partitioned base + delta files,
-    run the vectorized LWW fold, return the FOLD_SCHEMA table."""
+    run the vectorized LWW fold, return the FOLD_SCHEMA table run through
+    the ``post`` chain (``Replayer._state_rows``; None = raw)."""
     allr = _read_bucket_tables(base_files, delta_files, cfg, base_is_final_schema,
                                max_lsn, key_filter, payload_cols)
-    if allr is None:
-        return _empty_fold()
-    return _fold_maybe_split(allr, cfg, local_id_offsets, schema_ops,
-                             payload_cols)
+    out = _empty_fold() if allr is None else _fold_maybe_split(
+        allr, cfg, local_id_offsets, schema_ops, payload_cols)
+    return _run_chain(out, post)
+
+
+def _run_chain(t: pa.Table, fns: list | None) -> pa.Table:
+    for fn in fns or ():
+        t = fn(t)
+    return t
 
 
 def _fold_maybe_split(allr: pa.Table, cfg: ReplayConfig,
@@ -484,16 +494,16 @@ def _fold_salted_merge_task(
     local_id_offsets: dict[int, int],
     schema_ops: list[dict] | None,
     payload_cols: tuple[str, ...] | None,
+    post: list | None,
     *summaries: pa.Table | None,
 ) -> pa.Table:
     """Stage 2: merge one logical partition's sub-bucket summaries."""
     from marc_data_migration_ray.stages.fold import fold_salted_merge
 
     parts = [s for s in summaries if s is not None and s.num_rows]
-    if not parts:
-        return _empty_fold()
-    return fold_salted_merge(pa.concat_tables(parts), cfg, local_id_offsets,
-                             schema_ops, payload_cols)
+    out = fold_salted_merge(pa.concat_tables(parts), cfg, local_id_offsets,
+                            schema_ops, payload_cols) if parts else _empty_fold()
+    return _run_chain(out, post)
 
 
 @ray.remote(num_cpus=1)
@@ -1702,13 +1712,15 @@ class Replayer:
         up_to_lsn: int | None = None,
         key_filter: list[str] | None = None,
         payload_cols: tuple[str, ...] | None = None,
+        post: list | None = None,
     ) -> dict[int, "ray.ObjectRef"]:
         """One fold ObjectRef per LOGICAL partition (keyed by partition id) —
         the co-partitioned unit ``changes_between`` diffs pairwise.
         ``only_parts`` restricts the fold to those logical partitions
         (point lookups: touch only the buckets that can hold the keys).
         ``payload_cols`` prunes the fold to the requested payload / added
-        columns (projection pushdown — see ``fold_bucket``)."""
+        columns (projection pushdown — see ``fold_bucket``); each task
+        applies ``post`` to its output (``_state_rows``)."""
         base_is_final, base_by_part, delta_by_part = self._fold_layout(
             up_to_epoch, up_to_lsn)
         parts = sorted(set(base_by_part) | set(delta_by_part))
@@ -1734,6 +1746,7 @@ class Replayer:
                     up_to_lsn,
                     key_filter,
                     payload_cols,
+                    post,
                 )
                 for p in parts
             }
@@ -1759,7 +1772,7 @@ class Replayer:
                 for p in phys
             ]
             merge_refs[lp] = _fold_salted_merge_task.remote(
-                self.cfg, offsets, schema_ops, payload_cols, *s1
+                self.cfg, offsets, schema_ops, payload_cols, post, *s1
             )
         return merge_refs
 
@@ -1921,11 +1934,23 @@ class Replayer:
             if up_to_epoch is not None or up_to_lsn is not None:
                 raise ValueError("tag is exclusive with up_to_epoch/up_to_lsn")
             up_to_epoch = self.manifest.resolve_tag(tag)
+        return self._state_rows(up_to_epoch, up_to_lsn, columns)
+
+    def _state_rows(self, up_to_epoch: int | None, up_to_lsn: int | None,
+                    columns: list[str] | None, pre: tuple = (),
+                    **fold_kw):
+        """Public-row Dataset of ``read_state``/``lookup``: fold tasks keep
+        ``_kind == 'row'`` and run ``pre`` + the postprocess chain themselves
+        (cheaper than a separate Ray Data stage). The projection resolves AS
+        OF the cut, where a pre-rename display name is valid."""
         payload_cols = self._resolve_projection(columns, up_to_epoch, up_to_lsn)
-        rows = self.fold_output(up_to_epoch, up_to_lsn, payload_cols).filter(
-            expr="_kind == 'row'")
-        return self._postprocess_rows(rows, up_to_epoch, up_to_lsn,
-                                      columns=columns)
+        post = [lambda t: t.filter(pc.equal(t["_kind"], "row")), *pre,
+                *self._postprocess_fns(up_to_epoch, up_to_lsn, columns)]
+        refs = self._fold_part_refs(up_to_epoch, up_to_lsn=up_to_lsn, post=post,
+                                    payload_cols=payload_cols, **fold_kw)
+        if not refs:  # no partition can hold the keys
+            return ray.data.from_arrow(_run_chain(_empty_fold(), post))
+        return ray.data.from_arrow_refs(list(refs.values()))
 
     def _resolve_projection(
         self, columns: list[str] | None,
@@ -2060,26 +2085,11 @@ class Replayer:
 
         ids = [k for k in dict.fromkeys(doc_ids) if k]
         parts = self._parts_for_keys(ids)
-        # resolve the projection AS OF the requested cut (code-review
-        # r5): validating at head rejected a pre-rename display name a
-        # read_state(up_to_lsn=L) of the same cut accepts
-        payload_cols = self._resolve_projection(columns, up_to_epoch,
-                                                up_to_lsn)
-        refs = self._fold_part_refs(up_to_epoch, only_parts=parts,
-                                    up_to_lsn=up_to_lsn,
-                                    key_filter=ids, payload_cols=payload_cols)
-        if refs:
-            rows = ray.data.from_arrow_refs(list(refs.values()))
-        else:
-            rows = ray.data.from_arrow(_empty_fold())
-        rows = rows.filter(expr="_kind == 'row'")
         want = pa.array(sorted(ids), pa.string())
-        rows = rows.map_batches(
-            lambda t: t.filter(pc.is_in(t["doc_id"], value_set=want)),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        return self._postprocess_rows(rows, up_to_epoch, up_to_lsn=up_to_lsn,
-                                      columns=columns)
+        return self._state_rows(
+            up_to_epoch, up_to_lsn, columns,
+            pre=(lambda t: t.filter(pc.is_in(t["doc_id"], value_set=want)),),
+            only_parts=parts, key_filter=ids)
 
     #: stable doc_history event-log schema (state_*/tokens columns optional)
     _DOC_HISTORY_FIELDS = [
@@ -2594,28 +2604,14 @@ class Replayer:
                         out[(row["doc_id"], L)] = row
         return out
 
-    def _postprocess_rows(self, rows, up_to_epoch: int | None,
-                          up_to_lsn: int | None = None,
-                          columns: list[str] | None = None):
-        """Fold row-kind dataset → public state schema (shared by
-        ``read_state`` and ``lookup``). ``columns`` applies the requested
-        projection as the FINAL step (after schema evolution and policy
-        plugins), in the caller's order."""
-        for fn in self._postprocess_fns(up_to_epoch, up_to_lsn, columns):
-            rows = rows.map_batches(fn, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-        return rows
-
     def _postprocess_table(self, t: pa.Table, up_to_epoch: int | None,
                            up_to_lsn: int | None = None,
                            columns: list[str] | None = None) -> pa.Table:
-        """Local (driver / in-task) variant of ``_postprocess_rows`` for
-        TINY tables (point lookups, per-LSN as-of states): applies the
-        identical transform chain to one pa.Table without spinning up a
-        Ray Data pipeline per call."""
-        for fn in self._postprocess_fns(up_to_epoch, up_to_lsn, columns):
-            t = fn(t)
-        return t
+        """Fold row-kind table → public state schema on the driver (per-LSN
+        as-of states): the same chain ``read_state``/``lookup`` run inside
+        their fold tasks."""
+        return _run_chain(t, self._postprocess_fns(up_to_epoch, up_to_lsn,
+                                                   columns))
 
     def _resolve_schema_cached(self, ops: list[dict] | None):
         """``manifest.resolve_schema(_DISPLAY_COLS, ops)`` memoized per
@@ -2636,8 +2632,11 @@ class Replayer:
                          up_to_lsn: int | None = None,
                          columns: list[str] | None = None) -> list:
         """The fold-rows → public-state transform chain as a list of pure
-        ``pa.Table -> pa.Table`` functions (one ``map_batches`` each on the
-        Dataset path; applied in-process on the point-query path)."""
+        ``pa.Table -> pa.Table`` functions, run inside the fold tasks of
+        ``read_state``/``lookup`` and on the driver by
+        ``_postprocess_table``. ``columns`` applies the requested
+        projection as the FINAL step (after schema evolution and policy
+        plugins), in the caller's order."""
         fns = [lambda t: t.select(_ROW_COLS)]
         ops = self._schema_ops_up_to(up_to_epoch, up_to_lsn)
         final_schema, _renames, added = self._resolve_schema_cached(ops)

@@ -13,8 +13,11 @@ hooks so policies stay vectorized:
 - ``column_moves()``         — conditional column renames applied after
   execute (reference conditional moves U6/U7).
 
-Policies are applied to the folded final rows by
-``apply_policies(ds, cfg)`` as a chained actor-pool ``map_batches``.
+State reads (``Replayer.read_state`` / ``lookup``) apply the configured
+policies to the folded rows inside each per-bucket fold task, through
+``_PolicyStage``. ``apply_policies(ds, cfg)`` chains them as
+``map_batches`` over an arbitrary Dataset and serves only the CLI
+``modify`` command.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class _PolicyStage:
     """Stage body: instantiate the policy ONCE PER WORKER PROCESS (the
     module-level memo above) — the same load-once semantics the reference's
     per-process plugin load has (``record_update.py:132-134``).  Instances
-    are passed to ``map_batches`` directly (stateless elastic task pool);
+    are called by the fold tasks (and ``apply_policies``' ``map_batches``);
     the memo makes re-instantiation free on warm workers, so no actor pool
     is needed."""
 

@@ -8,8 +8,8 @@ without an oracle get a rows-only sanity check (>= 0 rows, stable schema).
 
     python scripts/preflight.py [--sf /root/testdata/sf0.01] [--only name...]
 
-Prints one JSON line per query and a final summary; exit code 1 on any
-mismatch.
+Every oracle must first DESCRIBE to ``ORACLE_TYPES`` only. Prints one
+JSON line per query and a final summary; exit code 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -29,6 +29,24 @@ TABLES = [
     "region", "nation", "customer", "supplier", "part",
     "orders", "lineitem", "events", "documents", "embeddings",
 ]
+
+#: column types an oracle may emit. INTEGER and TIMESTAMP oracles
+#: (price_quantiles, tokenize_docs, pii_redact) have hash-matched in the
+#: correctness gate; HUGEINT (DuckDB's type for list_sum over integers)
+#: has not, so any other type fails here before a query runs.
+ORACLE_TYPES = {"BIGINT", "VARCHAR", "BOOLEAN", "DOUBLE", "INTEGER",
+                "TIMESTAMP"}
+
+
+def oracle_type_violations(con, sql: dict[str, str]) -> dict[str, list]:
+    """Oracle name → [(column, type)] of columns outside ORACLE_TYPES."""
+    bad = {}
+    for name, q in sorted(sql.items()):
+        cols = [(c, t) for c, t, *_ in con.execute(f"DESCRIBE {q}").fetchall()
+                if t not in ORACLE_TYPES]
+        if cols:
+            bad[name] = cols
+    return bad
 
 
 def to_pandas(res):
@@ -85,7 +103,12 @@ def main() -> int:
 
     names = args.only or sorted(qs)
     n_ok = n_rows_only = 0
-    fails: list[str] = []
+    bad_types = oracle_type_violations(
+        con, {n: q for n, q in sql.items() if n in names})
+    for name, cols in bad_types.items():
+        print(json.dumps({"q": name, "ok": False,
+                          "err": f"oracle column types {cols}"}), flush=True)
+    fails: list[str] = sorted(bad_types)
     for name in names:
         t0 = time.time()
         try:

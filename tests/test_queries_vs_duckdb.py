@@ -356,3 +356,22 @@ def test_kmv_hash_cache_is_bounded(monkeypatch):
                        "little") % tpch.KMV_MOD
         for v in range(1000))[: tpch.KMV_K]
     assert out1["hv"].to_pylist() == want
+
+
+#: media decoders whose pixel/sample sums are DuckDB ``list_sum`` results
+MEDIA_ORACLES = (
+    "media_real_decode", "media_resize", "media_frames_real",
+    "media_png_decode", "media_gif_decode", "media_jpeg_decode",
+    "media_jpeg_color_decode", "media_scene_cuts",
+)
+
+
+def test_media_oracles_emit_no_hugeint(con):
+    """DuckDB 1.0 types ``list_sum`` over integers as HUGEINT, which an
+    exact value hash does not match against the engine's int64 sums; the
+    media oracles cast those sums to BIGINT."""
+    sql = entry_mod.oracle_sql()
+    for name in MEDIA_ORACLES:
+        types = {c: t for c, t, *_ in con.execute(
+            f"DESCRIBE {sql[name]}").fetchall()}
+        assert "HUGEINT" not in types.values(), (name, types)
