@@ -45,6 +45,29 @@ def entry() -> Any:
 
 # -------------------------------------------------------------- queries --
 
+#: queries with no row in any external correctness run (r1-r5), put first
+#: in ``queries()`` so the next driver run checks them
+NEVER_DRIVER_CHECKED = (
+    # text analysis / sampling / curation / enrichment
+    "source_overlap", "best_docs_per_source", "bpe_train",
+    "compression_ratio", "token_quantiles_by_source", "corpus_curation",
+    "enrich_authority",
+    # dedup / clustering / ANN
+    "exact_substring_scrub", "dedup_incremental", "embedding_near_dup_lsh",
+    "embedding_pca", "semantic_clusters", "label_similarity",
+    "ann_topk_ivf", "ann_topk_pq",
+    # events / windows / graph / temporal joins
+    "late_event_counts", "user_top_event", "user_value_trailing_1h",
+    "event_type_users_sketch", "user_value_moving_avg", "daily_anomaly",
+    "event_pivot", "event_markov", "top_orders_per_customer",
+    "purchase_followup", "purchase_views_window",
+    # multimodal
+    "media_decode", "media_frame_sample", "media_real_decode",
+    "media_resize", "media_frames_real", "audio_frame_features",
+    "media_gif_decode", "media_adpcm_decode", "media_scene_cuts",
+    "media_jpeg_decode", "media_jpeg_color_decode",
+)
+
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from marc_data_migration_ray.config import ReplayConfig
@@ -252,44 +275,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "media_jpeg_decode": multimodal.media_jpeg_decode,
         "media_jpeg_color_decode": multimodal.media_jpeg_color_decode,
     }
-    # Round-5 rotation (VERDICT r4 item 4): the driver's correctness
-    # gate samples the FIRST 50 keys each round, so rounds 1-4 kept
-    # re-checking the same CDC-heavy set. Surface a substantially
-    # different 50 — the SQL-oracled tail (events/windows, temporal
-    # joins, media codecs, sampling, curation, ANN, text analysis) that
-    # has only ever had in-repo oracle coverage — while every entry
-    # stays present for the in-repo harness (order is the ONLY change).
-    first = [
-        # text analysis
-        "token_topk", "oov_rate", "ngram_topk", "token_doc_freq",
-        "tfidf_topk", "source_lang_rollup", "word_repetition",
-        "lm_familiarity", "token_concentration", "token_lift",
-        "tokenize_docs", "source_token_drift", "token_topk_sketch",
-        # retrieval
-        "boolean_search", "inverted_postings", "bm25_topk", "rrf_fusion",
-        # sampling / splits / quantiles
-        "dataset_split", "source_mix_sample", "stratified_sample",
-        "weighted_sample", "dsir_weights", "range_partition",
-        "token_quantiles", "price_quantiles", "token_length_percentile",
-        "sequence_pack",
-        # curation
-        "decontaminate", "pii_redact", "corpus_shuffle",
-        "blocklist_filter", "chunk_documents",
-        # dedup family tail
-        "block_dedup", "exact_substring_spans", "dedup_clusters",
-        "dedup_keep_best",
-        # clustering / ANN
-        "embedding_assign", "semdedup", "embedding_gram",
-        "ann_topk_filtered", "ann_topk_per_source",
-        # events / windows / graph
-        "user_sessions", "sliding_window_value", "peak_concurrency",
-        "retention_cohorts", "event_dedup_window", "event_pagerank",
-        # temporal joins
-        "purchase_attribution", "funnel_conversion",
-        # media codecs
-        "media_png_decode",
-    ]
-    assert len(first) == 50 and len(set(first)) == 50
+    # Driver rotation (VERDICT r5 "What's missing #1"): the driver's
+    # correctness gate samples the FIRST 50 keys each round. These 37 have
+    # never been externally checked (no CORRECTNESS_r01-r05 row); every
+    # entry stays present for the in-repo harness (order is the ONLY
+    # change). media_png_decode follows them: its red r5 row should turn
+    # green now that the media oracles emit BIGINT.
+    first = NEVER_DRIVER_CHECKED + ("media_png_decode",)
+    assert len(set(first)) == len(first) == 38
     return {**{k: q.pop(k) for k in first}, **q}
 
 

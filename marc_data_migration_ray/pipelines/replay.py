@@ -20,6 +20,12 @@ Physical plan (SURVEY §4.2) — co-partitioned, shuffle-free merge-on-read:
 
     compact() materializes the fold into a new bucketized base snapshot
     (LSM merge of the sorted runs) and advances local-id allocator offsets.
+    Each fold task writes its own partition's snapshot file
+    (``_WriteSnapshotRows``) and returns only its metrics/noop rows, so a
+    compaction never shuffles: no Ray Data write, no object-store
+    transfer of the token payload. Only ingest, base bucketization and
+    repartition move rows between partitions through
+    ``write_parquet_partitioned``.
 
 Scale notes (100 TB): the per-bucket fold is the unit of memory — size
 ``num_partitions`` so one bucket's live rows fit a worker (thousands of
@@ -417,6 +423,31 @@ def _run_chain(t: pa.Table, fns: list | None) -> pa.Table:
     for fn in fns or ():
         t = fn(t)
     return t
+
+
+class _WriteSnapshotRows:
+    """``compact()``'s fold-task ``post`` step: write each part's
+    ``_kind == 'row'`` rows to ``<dest>/part_p=<part_id*S>/part-<part_id>.parquet``
+    (salt 0 of the logical partition) and return the metrics/noop rows.
+    File and temp names depend only on the part id and the file lands by
+    ``os.replace``, so a retried task overwrites its file instead of
+    adding one."""
+
+    def __init__(self, dest: str, num_salts: int):
+        self.dest = dest
+        self.num_salts = num_salts
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        is_row = pc.equal(t["_kind"], "row")
+        rows = t.filter(is_row).select(_ROW_COLS + ["part_id"])
+        for pid in pc.unique(rows["part_id"]).to_pylist():
+            d = os.path.join(self.dest, f"part_p={pid * self.num_salts}")
+            os.makedirs(d, exist_ok=True)
+            tmp = os.path.join(d, f".part-{pid}.parquet.tmp")
+            pq.write_table(rows.filter(pc.equal(rows["part_id"], pid)), tmp,
+                           row_group_size=_ROW_GROUP_SIZE)
+            os.replace(tmp, os.path.join(d, f"part-{pid}.parquet"))
+        return t.filter(pc.invert(is_row))
 
 
 def _fold_maybe_split(allr: pa.Table, cfg: ReplayConfig,
@@ -2703,10 +2734,11 @@ class Replayer:
             fns.append(lambda t: t.select(sel))
         return fns
 
-    def _aggregate_metrics_rows(self, out, seed: dict | None = None) -> dict:
-        """Sum the per-bucket ``_kind == 'metrics'`` rows of a fold output.
-        ``seed`` (a prior compaction's cumulative snapshot) pre-loads every
-        counter except ``rows``, which is current-state, not cumulative."""
+    def _aggregate_metrics_rows(self, tables, seed: dict | None = None) -> dict:
+        """Sum the per-bucket ``_kind == 'metrics'`` rows of an iterable of
+        FOLD_SCHEMA Arrow tables. ``seed`` (a prior compaction's cumulative
+        snapshot) pre-loads every counter except ``rows``, which is
+        current-state, not cumulative."""
         seed = seed or {}
         agg = {"noop": seed.get("noop", 0), "tombstoned": seed.get("tombstoned", 0),
                "local": seed.get("local", 0), "rows": 0,
@@ -2714,9 +2746,9 @@ class Replayer:
                "local_by_part": {int(k): v for k, v in seed.get("local_by_part", {}).items()},
                "noop_by_route": dict(seed.get("noop_by_route", {})),
                "fold_splits": seed.get("fold_splits", 0)}
-        mrows = out.filter(expr="_kind == 'metrics'")
-        for b in mrows.iter_batches(batch_format="pyarrow"):
-            for s in b["metrics_json"].to_pylist():
+        for t in tables:
+            mrows = t.filter(pc.equal(t["_kind"], "metrics"))
+            for s in mrows["metrics_json"].to_pylist():
                 m = json.loads(s)
                 agg["noop"] += m["noop"]
                 agg["tombstoned"] += m["tombstoned"]
@@ -2740,8 +2772,10 @@ class Replayer:
         plus current row count and pre-fold route counts from the manifest.
         Counters survive compaction via the manifest metrics snapshot.
         Invariant: processed == sum(all routes)."""
+        refs = self._fold_part_refs(up_to_epoch, post=[
+            lambda t: t.filter(pc.equal(t["_kind"], "metrics"))])
         agg = self._aggregate_metrics_rows(
-            self.fold_output(up_to_epoch), seed=self.manifest.metrics_snapshot()
+            ray.get(list(refs.values())), seed=self.manifest.metrics_snapshot()
         )
         routes = {}
         for e in self.manifest.committed_epochs():
@@ -2803,25 +2837,17 @@ class Replayer:
         )
         if respect_tags and self.manifest.tags():
             up_to = min(up_to, min(self.manifest.tags().values()))
-        out = self.fold_output(up_to)
         new_base = os.path.join(self.root, f"base-compact-{uuid.uuid4().hex[:8]}")
         tmp = new_base + ".tmp"
-        S = self.cfg.num_salts
-        rows = out.filter(expr="_kind == 'row'").map_batches(
-            # compacted rows land in salt 0 of their logical partition
-            lambda t, S=S: t.select(_ROW_COLS + ["part_id"]).append_column(
-                "part_p", pc.cast(pc.multiply(pc.cast(t["part_id"], pa.int64()), S), pa.int32())
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        write_parquet_partitioned(
-            rows, tmp, ["part_p"], row_group_size=_ROW_GROUP_SIZE,
-            expected_partitions=self.cfg.num_partitions * self.cfg.num_salts)
+        # each fold task writes its partition's snapshot file itself and
+        # hands back only its metrics/noop rows
+        refs = self._fold_part_refs(
+            up_to, post=[_WriteSnapshotRows(tmp, self.cfg.num_salts)])
+        os.makedirs(tmp, exist_ok=True)  # even when no partition has live rows
         # cumulative run counters (prior snapshot + this fold) ride along in
         # the compaction record so fold_metrics stays whole-run after the
         # absorbed epochs' events are gone from the delta files
-        this_fold = self._aggregate_metrics_rows(out)
+        this_fold = self._aggregate_metrics_rows(ray.get(list(refs.values())))
         local_counts = dict(this_fold["local_by_part"])  # this fold only: offsets accumulate
         snap = self._cumulative_metrics_snapshot(this_fold)
         os.rename(tmp, new_base)
@@ -2902,7 +2928,9 @@ class Replayer:
             # holds the old one here, which skipped the co-location sort
             # exactly when growing past the threshold (code-review r5)
             expected_partitions=new_P * new_S)
-        this_fold = self._aggregate_metrics_rows(out)
+        this_fold = self._aggregate_metrics_rows(
+            out.filter(expr="_kind == 'metrics'").iter_batches(
+                batch_format="pyarrow"))
         local_counts = dict(this_fold["local_by_part"])
         snap = self._cumulative_metrics_snapshot(this_fold)
         os.rename(tmp, new_base)

@@ -10,6 +10,12 @@ everything else (hive layout, basename template, row-group sizing,
 existing-data behavior) is the parent's behavior, so the on-disk layout
 is bit-compatible with plain ``write_parquet``.
 
+It serves only the writes that really move rows between partitions:
+epoch ingest (``apply_epoch`` and ``merge``), the one-time base
+bucketization and ``repartition``, plus the exports. ``compact()`` does
+not use it: its fold tasks already hold each partition's rows and write
+the snapshot files themselves.
+
 Pinned to ray 2.49.2 (this environment's fixed version): the override
 duplicates the parent's ``_write_parquet_files`` body with one added
 argument. If the internal API shifts on an upgrade, the loud import
@@ -85,7 +91,9 @@ class WidePartitionParquetDatasink(ParquetDatasink):
 
 
 #: co-locate rows by partition key before writing when the layout has
-#: more partitions than this: a blockwise hive write creates one file
+#: more partitions than this (ingest, base bucketize and repartition —
+#: compaction writes per-partition files from its fold tasks and never
+#: reaches this sort): a blockwise hive write creates one file
 #: per (block, touched partition) — at 2560 partitions the 100M-event
 #: probe produced 3M tiny files before the fix. The sort is a single
 #: range exchange that caps file count at ~max(blocks, partitions).
