@@ -575,9 +575,10 @@ def _read_key_rows_task(
     keys: list[str],
     payload_cols: tuple[str, ...] | None,
 ) -> pa.Table | None:
-    """ONE key-filtered read of a partition's base+delta files — the
-    shared input every as-of fold shard of that partition consumes from
-    the object store (read once, fold many)."""
+    """ONE key-filtered read of a chunk of a partition's base+delta
+    files: the input of that partition's self-cutting as-of sweep
+    (``_asof_sweep_auto_task``), which consumes the chunks from the
+    object store in file order."""
     return _read_bucket_tables(base_files, delta_files, cfg,
                                base_is_final_schema, max_lsn, keys,
                                payload_cols)
@@ -806,22 +807,14 @@ def _asof_sweep(allr: pa.Table, cfg: ReplayConfig,
         "_asof_lsn", pa.array(out_asof, pa.int64()))
 
 
-@ray.remote(num_cpus=1)
-def _asof_sweep_task(allr: pa.Table | None, cfg: ReplayConfig,
-                     cuts: list[tuple[int, list | None]], keys: list[str],
-                     payload_cols: tuple[str, ...] | None) -> pa.Table:
-    if allr is None:
-        return _empty_fold().append_column(
-            "_asof_lsn", pa.array([], pa.int64()))
-    return _asof_sweep(allr, cfg, cuts, keys, payload_cols)
-
-
 def _ops_prefix_fn(all_ops: list):
-    """``ops_for(L)`` over a SORTED (lsn-nondecreasing) append-only DDL
-    log: bisect the prefix boundary and share prefix list objects.
-    Inclusive ``lsn <= L`` — the exact ``_schema_ops_up_to`` filter.
-    ONE implementation for the driver resolver and the worker-side
-    self-cutting sweep so the two can never drift."""
+    """``ops_for(L)`` over the manifest's DDL log, which
+    ``Manifest.record_schema_ops`` keeps sorted by lsn: bisect the prefix
+    boundary and share prefix list objects (4001 per-cut filter scans
+    were ~0.2 s of a long lineage, r5 profiling). Inclusive ``lsn <= L``
+    — the exact ``_schema_ops_up_to`` filter. ONE implementation for the
+    worker-side self-cutting sweep and the driver's ``_asof_collect`` so
+    the two can never drift."""
     import bisect
 
     op_lsns = [o["lsn"] for o in all_ops]
@@ -838,18 +831,6 @@ def _ops_prefix_fn(all_ops: list):
 
 
 @ray.remote(num_cpus=1)
-def _concat_rows_task(*tables) -> pa.Table | None:
-    """Combine sharded ``_read_key_rows_task`` results (file order is
-    preserved by the caller's chunking, so the row sequence equals the
-    unsharded read's)."""
-    tabs = [t for t in tables if t is not None]
-    if not tabs:
-        return None
-    return pa.concat_tables(
-        tabs, promote_options="default").combine_chunks()
-
-
-@ray.remote(num_cpus=1)
 def _asof_sweep_auto_task(
     cfg: ReplayConfig, all_ops: list, ceiling: int, keys: list[str],
     payload_cols: tuple[str, ...] | None, *allrs,
@@ -859,113 +840,25 @@ def _asof_sweep_auto_task(
     waiting for the driver's event-log scan — this breaks the
     scan→sweep serialization in doc_history(with_versions) so both run
     concurrently (r5 profiling: the two were the whole warm cost).
-    Returns (sweep_table, emitted_cut_lsns); the caller verifies its
-    wanted cuts ⊆ emitted and falls back to the explicit-cut path if
-    the sets ever diverge (they come from the same manifest files)."""
+    ``allrs`` are the partition's ``_read_key_rows_task`` file chunks, in
+    file order. Returns (sweep_table, emitted_cut_lsns); the caller
+    verifies its wanted cuts ⊆ emitted and hands the partition's keys to
+    the per-cut ``lookup`` fallback if the sets ever diverge (they come
+    from the same manifest files)."""
     tabs = [t for t in allrs if t is not None]
-    allr = (pa.concat_tables(tabs, promote_options="default")
-            .combine_chunks() if tabs else None)
-    if allr is None:
+    cut_lsns: list[int] = []
+    if tabs:
+        allr = pa.concat_tables(
+            tabs, promote_options="default").combine_chunks()
+        lv = pc.drop_null(allr.filter(pc.invert(allr["is_base"]))["lsn"])
+        cut_lsns = [L for L in np.unique(
+            lv.to_numpy(zero_copy_only=False)).tolist() if L >= ceiling]
+    if not cut_lsns:
         return (_empty_fold().append_column(
             "_asof_lsn", pa.array([], pa.int64())), [])
-    ev = allr.filter(pc.invert(allr["is_base"]))
-    lv = pc.drop_null(ev["lsn"])
-    arr = (np.unique(lv.to_numpy(zero_copy_only=False).astype(np.int64))
-           if len(lv) else np.empty(0, np.int64))
-    arr = arr[arr >= ceiling]
-    if not len(arr):
-        return (_empty_fold().append_column(
-            "_asof_lsn", pa.array([], pa.int64())), [])
-    _pref = _ops_prefix_fn(all_ops)
-    cuts = [(int(L), _pref(int(L))) for L in arr.tolist()]
-    return (_asof_sweep(allr, cfg, cuts, keys, payload_cols),
-            [int(L) for L in arr.tolist()])
-
-
-@ray.remote(num_cpus=1)
-def _asof_key_states_task(
-    allr: pa.Table | None,
-    cfg: ReplayConfig,
-    local_id_offsets: dict[int, int],
-    cuts: list[tuple[int, list | None]],
-    keys: list[str],
-    payload_cols: tuple[str, ...] | None,
-) -> pa.Table:
-    """Batched as-of reconstruction (``doc_history(with_versions=True)``
-    unit) over the partition's ALREADY-READ key-filtered rows (``allr``
-    arrives as a shared object-store ref — the read happened exactly once
-    per partition). Cuts arrive LSN-ASCENDING and fold INCREMENTALLY
-    (VERDICT r3 item 3): the first cut one-shot-folds its full prefix;
-    each later cut folds the PREVIOUS cut's state — re-read as a
-    compacted-snapshot base through the exact ``PrepBase`` path epoch
-    folds use — plus only the events in ``(prev_cut, cut]``. Total work
-    is O(key-events + cuts), not O(cuts × key-events); equality with the
-    per-cut one-shot fold is the COMPACTION invariant
-    (fold(fold(A) ∪ B) == fold(A ∪ B), SEMANTICS §anchor), which the
-    property gauntlet pins. Two bookkeeping rules keep the composition
-    exact: keyless-row allocation offsets accumulate across increments
-    (each fold's ``local_by_part`` metrics feed the next fold's offsets,
-    exactly like successive epochs), and composition RESTARTS with a
-    one-shot prefix fold whenever a cut's schema-op signature differs
-    from the previous cut's (mid-stream DDL re-resolves masks over raw
-    events, not composed state). Returns FOLD_SCHEMA 'row' rows filtered
-    to ``keys``, tagged with an ``_asof_lsn`` column."""
-    if allr is not None and "collapsed" in allr.column_names and pc.any(
-            pc.fill_null(allr["collapsed"], False)).as_py():
-        raise ValueError(
-            "as-of reconstruction over precollapsed deltas: superseded "
-            "payloads were stripped at ingest; re-ingest with "
-            "precollapse_updates=False for per-event lineage")
-    from marc_data_migration_ray.stages.fold import (fold_bucket,
-                                                     fold_input_columns)
-    from marc_data_migration_ray.stages.parse import PrepBase
-
-    if allr is None:
-        return _empty_fold().append_column(
-            "_asof_lsn", pa.array([], pa.int64()))
-    want = pa.array(sorted(keys), pa.string())
-    fold_cols = fold_input_columns(payload_cols)
-    events = allr.filter(pc.invert(allr["is_base"]))
-    prep = PrepBase(cfg, assume_normalized=True)
-    out: list[pa.Table] = []
-    state: pa.Table | None = None
-    prev_sig: str | None = None
-    prev_cut = 0
-    alloc: dict[int, int] = {}  # keyless rows allocated <= prev_cut, per part
-    for lsn_cut, schema_ops in cuts:
-        sig = repr(schema_ops)
-        if state is None or sig != prev_sig or lsn_cut < prev_cut:
-            sub = allr.filter(pc.or_kleene(
-                allr["is_base"], pc.less_equal(allr["lsn"], lsn_cut)))
-            offs = dict(local_id_offsets or {})
-            alloc = {}
-        else:
-            inc = events.filter(pc.and_(
-                pc.greater(events["lsn"], prev_cut),
-                pc.less_equal(events["lsn"], lsn_cut)))
-            offs = dict(local_id_offsets or {})
-            for p, n in alloc.items():
-                offs[p] = offs.get(p, 0) + n
-            comp = prep(state.drop_columns(["_kind", "lsn", "metrics_json"]))
-            comp = comp.select(
-                [c for c in fold_cols if c in comp.column_names])
-            sub = pa.concat_tables([comp, inc], promote_options="default")
-        r = fold_bucket(sub, cfg, offs, schema_ops,
-                        payload_cols=payload_cols)
-        for mj in r.filter(
-                pc.equal(r["_kind"], "metrics"))["metrics_json"].to_pylist():
-            for p, n in (json.loads(mj).get("local_by_part") or {}).items():
-                alloc[int(p)] = alloc.get(int(p), 0) + int(n)
-        state = r.filter(pc.equal(r["_kind"], "row"))
-        prev_sig, prev_cut = sig, lsn_cut
-        keep = state.filter(pc.is_in(state["doc_id"], value_set=want))
-        if keep.num_rows:
-            out.append(keep.append_column(
-                "_asof_lsn", pa.array([lsn_cut] * keep.num_rows, pa.int64())))
-    if not out:
-        return _empty_fold().append_column(
-            "_asof_lsn", pa.array([], pa.int64()))
-    return pa.concat_tables(out)
+    ops_for = _ops_prefix_fn(all_ops)
+    return (_asof_sweep(allr, cfg, [(L, ops_for(L)) for L in cut_lsns],
+                        keys, payload_cols), cut_lsns)
 
 
 @ray.remote(num_cpus=1)
@@ -1686,7 +1579,7 @@ class Replayer:
         (base_is_final_schema, base_by_part, delta_by_part). Validates the
         read cut against the compaction floor/ceiling and prefers level-1
         merged segments when they fully fit the range (shared by
-        ``_fold_part_refs`` and the batched as-of path)."""
+        ``_fold_part_refs`` and the as-of lineage sweep)."""
         st = self.manifest.state
         floor = self.manifest.last_compacted_epoch()
         if up_to_lsn is not None and up_to_lsn < self.manifest.ceiling_lsn():
@@ -2146,9 +2039,9 @@ class Replayer:
 
         ``with_payload=True`` adds each event's ``tokens`` payload.
         ``with_versions=True`` reconstructs the state AS OF each event at
-        or above the compaction ceiling via LSN-level time-travel point
-        lookups (``lookup(..., up_to_lsn)``) — consistent with
-        ``read_state`` by construction (it IS the same fold);
+        or above the compaction ceiling: the state ``lookup(...,
+        up_to_lsn=lsn)`` returns, computed by one self-cutting sweep per
+        partition (see ``doc_history_many``);
         ``state_live=False`` means the key had no live row after that
         event (tombstoned, rejected before any insert, …). Events below
         the ceiling get null ``state_*`` columns.
@@ -2166,12 +2059,21 @@ class Replayer:
         """Lineage over a KEY LIST (``doc_history`` generalized — VERDICT
         r2 item 8): one partition-pruned, bloom-pruned scan pass serves
         every requested key at once (each file's ``.keybloom`` sidecar is
-        consulted once against the whole set), and ``with_versions=True``
-        reconstructs all as-of states with one key-filtered fold pass per
-        partition over the union of the keys' event LSNs
-        (``_asof_states``) — never a per-key or per-event round trip.
-        Output adds a leading ``doc_id`` column; rows sort by
-        (doc_id, lsn)."""
+        consulted once against the whole set).
+
+        ``with_versions=True`` takes its as-of states from exactly two
+        sources. Ordinary keys on an unsalted table get ONE self-cutting
+        sweep per touched partition (``_asof_sweep_auto_task`` over
+        sharded ``_read_key_rows_task`` reads, launched before the event
+        scan so the two overlap) — never a per-key or per-event round
+        trip. Every key the sweep cannot prove falls back to per-cut
+        ``lookup(keys, up_to_lsn=L)``, the engine's definition of the
+        state at a cut: allocator-assigned local ids (positional
+        allocation needs the real fold), salted tables (``num_salts >
+        1``), a state projection that does not resolve at head (a rename
+        of a core display column), and a partition whose sweep did not
+        emit every wanted cut. Output adds a leading ``doc_id`` column;
+        rows sort by (doc_id, lsn)."""
         keys = [k for k in dict.fromkeys(doc_ids) if k]
         if not keys:
             raise ValueError("doc_ids must contain at least one key")
@@ -2231,75 +2133,53 @@ class Replayer:
                              "doc_id" if base_is_final else "key") \
             if base_items else []
 
-        # versions need a key-filtered read of each touched partition
-        # (the _asof_states input). Launch those reads NOW — they don't
-        # depend on the event list, only on the key set — so they overlap
-        # the event-log scan instead of serializing after it (the two
-        # were the whole warm as-of lineage cost, r5 profiling). The
-        # read uses the manifest head lsn (superset of any cut) and the
-        # full payload projection; sweep/fold project per cut.
-        pre_sweeps = None
-        pre_read_chunks: dict[int, list] = {}
-        kbp: dict[int, list[str]] = {}
-        if with_versions and self.cfg.num_salts == 1:
-            bif, bbp, dbp = self._fold_layout()
+        # the sweeps depend only on the key set, not on the event list:
+        # launch them NOW so they overlap the event-log scan instead of
+        # serializing after it (the two were the whole warm as-of lineage
+        # cost, r5 profiling). The reads cut at the manifest head lsn
+        # (superset of any cut) under the versions projection resolved at
+        # head — narrowing matters: an unprojected sweep packs EVERY added
+        # column into per-cut extra_json and the driver-side extraction
+        # pays for it (4.5 s on a 400-op DDL log, r5 profiling)
+        ver_cols = (["doc_id", "tokens", "n_tok"] if with_payload
+                    else ["doc_id", "n_tok"])
+        sweep_keys: list[str] = []
+        if with_versions and S == 1:
             head = self.manifest.head_lsn()
-            # the same projection the versions tail requests below —
-            # resolved at head lsn (superset of any cut). Narrowing
-            # matters: an unprojected sweep packs EVERY added column
-            # into per-cut extra_json and the driver-side extraction
-            # pays for it (4.5 s on a 400-op DDL log, r5 profiling)
-            ver_cols = (["doc_id", "tokens", "n_tok"] if with_payload
-                        else ["doc_id", "n_tok"])
-            skip_prelaunch = False
-            pre_pay = None
             try:
-                pre_pay = self._resolve_projection(ver_cols, None, head)
+                ver_pay = self._resolve_projection(ver_cols, None, head)
+                sweep_keys = [
+                    k_ for k_ in keys
+                    if not k_.startswith(self.cfg.local_id_prefix + "-")]
             except ValueError:
-                # a rename of a core display column makes the canonical
-                # names unresolvable at head — skip the speculative
-                # prelaunch; the versions tail keeps the old explicit
-                # path and surfaces its own (as-of-correct) resolution
-                skip_prelaunch = True
-            if not skip_prelaunch:
-                for k_ in keys:
-                    for p_ in self._parts_for_keys([k_]):
-                        kbp.setdefault(p_, []).append(k_)
-                # shard the per-partition key-filtered read over file
-                # chunks (a 300-file bucket read serially was the fused
-                # path's long pole); chunk order preserves the
-                # unsharded row sequence
-                SHARD = 96
-                for p_, ks_ in sorted(kbp.items()):
-                    items = ([(f, True) for f in bbp.get(p_, [])]
-                             + [(f, False) for f in dbp.get(p_, [])])
-                    chunks = ([items[i:i + SHARD]
-                               for i in range(0, len(items), SHARD)]
-                              or [[]])
-                    pre_read_chunks[p_] = [
-                        _read_key_rows_task.remote(
-                            [f for f, isb in ch if isb],
-                            [f for f, isb in ch if not isb],
-                            self.cfg, bif, head, ks_, pre_pay)
-                        for ch in chunks
-                    ]
-            # self-cutting sweeps chain off the reads worker-side — the
-            # whole versions reconstruction overlaps the event-log scan
+                pass  # core column renamed by head: lookups resolve per cut
+        kbp: dict[int, list[str]] = {}
+        for k_ in sweep_keys:
+            for p_ in self._parts_for_keys([k_]):
+                kbp.setdefault(p_, []).append(k_)
+        sweeps = {}
+        if kbp:
+            bif, bbp, dbp = self._fold_layout()
+            ceil_ = self.manifest.ceiling_lsn()
             all_ops = self.manifest.state["schema_ops"]
-            op_lsns_ = [o["lsn"] for o in all_ops]
-            sweep_ok_ = (
-                not skip_prelaunch
-                and not any(k_.startswith(self.cfg.local_id_prefix + "-")
-                            for k_ in keys)
-                and all(a <= b for a, b in zip(op_lsns_, op_lsns_[1:])))
-            if sweep_ok_:
-                ceil_ = self.manifest.ceiling_lsn()
-                pre_sweeps = {
-                    p_: _asof_sweep_auto_task.remote(
-                        self.cfg, all_ops, ceil_, ks_, pre_pay,
-                        *pre_read_chunks[p_])
-                    for p_, ks_ in sorted(kbp.items())
-                }
+            # shard each partition's key-filtered read over file chunks (a
+            # 300-file bucket read serially was the sweep's long pole);
+            # chunk order preserves the unsharded row sequence
+            SHARD = 96
+            for p_, ks_ in sorted(kbp.items()):
+                items = ([(f, True) for f in bbp.get(p_, [])]
+                         + [(f, False) for f in dbp.get(p_, [])])
+                reads = [
+                    _read_key_rows_task.remote(
+                        [f for f, isb in ch if isb],
+                        [f for f, isb in ch if not isb],
+                        self.cfg, bif, head, ks_, ver_pay)
+                    for ch in ([items[i:i + SHARD]
+                                for i in range(0, len(items), SHARD)]
+                               or [[]])
+                ]
+                sweeps[p_] = _asof_sweep_auto_task.remote(
+                    self.cfg, all_ops, ceil_, ks_, ver_pay, *reads)
 
         got = ray.get(ev_refs + base_refs) if (ev_refs or base_refs) else []
         ev_parts = [t for t in got[:len(ev_refs)] if t is not None]
@@ -2358,41 +2238,35 @@ class Replayer:
         if not with_versions:
             return hist
         ceiling = self.manifest.ceiling_lsn()
-        cols = (["doc_id", "tokens", "n_tok"] if with_payload
-                else ["doc_id", "n_tok"])
-        # batched as-of reconstruction: ONE key-filtered partition read +
-        # one in-process fold per distinct LSN (VERDICT r2 item 7) instead
-        # of a sequential lookup() round trip per retained event
         want: dict[str, list[int]] = {}
         for k_, l, op in zip(hist["doc_id"].to_pylist(),
                              hist["lsn"].to_pylist(),
                              hist["op"].to_pylist()):
             if op != "base" and l is not None and l >= ceiling:
                 want.setdefault(k_, []).append(int(l))
-        states = None
-        if pre_sweeps is not None and want:
-            parts_sorted = sorted(pre_sweeps)
-            got = dict(zip(parts_sorted, ray.get(
-                [pre_sweeps[p_] for p_ in parts_sorted])))
-            emitted = {p_: set(ls) for p_, (_, ls) in got.items()}
-            covered = all(
-                set(want.get(k_, ())) <= emitted.get(p_, set())
-                for p_, ks_ in kbp.items() for k_ in ks_)
-            if covered:
-                states = self._asof_collect(
-                    [t for t, _ in got.values()], cols,
-                    self._ops_prefix_resolver())
-        if states is None:
-            # lazy: the combined per-partition read refs are only built
-            # when the fallback actually needs them (the fused path
-            # consumes the chunk refs directly inside the sweep task)
-            pre_reads = {
-                p_: (refs[0] if len(refs) == 1
-                     else _concat_rows_task.remote(*refs))
-                for p_, refs in pre_read_chunks.items()
-            } or None
-            states = self._asof_states(keys, want, cols,
-                                       prelaunched=pre_reads)
+        states: dict[tuple[str, int], dict] = {}
+        swept = set(sweep_keys)
+        rest = [k_ for k_ in keys if k_ not in swept]
+        if sweeps and want:
+            tables = []
+            for p_, (t, emitted) in zip(sweeps,
+                                        ray.get(list(sweeps.values()))):
+                # a wanted cut the sweep did not emit means its read and
+                # the event scan disagree: the partition's keys fall back
+                if all(set(want.get(k_, ())) <= set(emitted)
+                       for k_ in kbp[p_]):
+                    tables.append(t)
+                else:
+                    rest += kbp[p_]
+            states = self._asof_collect(tables, ver_cols)
+        by_cut: dict[int, list[str]] = {}
+        for k_ in rest:
+            for L in want.get(k_, ()):
+                by_cut.setdefault(L, []).append(k_)
+        for L, ks_ in sorted(by_cut.items()):
+            for row in self.lookup(ks_, up_to_lsn=L,
+                                   columns=ver_cols).take_all():
+                states[(row["doc_id"], L)] = row
         live, ntoks, toks = [], [], []
         for r_key, r_lsn, r_op in zip(hist["doc_id"].to_pylist(),
                                       hist["lsn"].to_pylist(),
@@ -2415,127 +2289,13 @@ class Replayer:
                 "state_tokens", pa.array(toks, pa.list_(pa.int32())))
         return hist
 
-    def _asof_states(self, keys: list[str],
-                     lsns: "list[int] | dict[str, list[int]]",
-                     columns: list[str],
-                     prelaunched: dict | None = None,
-                     ) -> dict[tuple[str, int], dict]:
-        """State rows for ``keys`` AS OF each LSN in ``lsns`` — the batched
-        form of ``lookup(keys, up_to_lsn=L)`` over many L values: one
-        key-filtered read per touched partition + one in-process fold per
-        distinct cut over the already-read rows, then the identical
-        postprocess chain applied per cut (each cut sees its own as-of
-        schema). ``lsns`` may be a flat list (every cut folds in every
-        touched partition) or a ``{key: [lsn, ...]}`` dict — then each
-        partition folds ONLY the cuts of the keys that live in it (the
-        doc_history_many case: keys spread over partitions must not
-        multiply partitions × total cuts). Returns
-        ``{(doc_id, lsn): state_row}``; a missing pair means the key had
-        no live row as of that cut.
-
-        Salted tables (``num_salts > 1``) fall back to per-cut lookups:
-        the salted fold is a two-stage exchange, and as-of point-debug on
-        declared hot keys is the rare case."""
-        by_key = lsns if isinstance(lsns, dict) else None
-        flat = ([l for ls in lsns.values() for l in ls]
-                if by_key is not None else lsns)
-        cut_lsns = sorted({int(l) for l in flat})
-        if not cut_lsns or not keys:
-            return {}
-        out: dict[tuple[str, int], dict] = {}
-        if self.cfg.num_salts > 1:
-            for L in cut_lsns:
-                for row in self.lookup(keys, up_to_lsn=L,
-                                       columns=columns).take_all():
-                    out[(row["doc_id"], L)] = row
-            return out
-        base_is_final, base_by_part, delta_by_part = self._fold_layout()
-        offsets = self.manifest.local_id_offsets()
-        payload_cols = self._resolve_projection(columns, None, cut_lsns[-1])
-        ops_for = self._ops_prefix_resolver()
-        ops_by_lsn = {L: ops_for(L) for L in cut_lsns}
-        keys_by_part: dict[int, list[str]] = {}
-        for k in dict.fromkeys(keys):
-            for p in self._parts_for_keys([k]):
-                keys_by_part.setdefault(p, []).append(k)
-        # per-partition cut lists: only the LSNs of the keys living there
-        cuts_by_part: dict[int, list] = {}
-        for p, ks in keys_by_part.items():
-            if by_key is None:
-                p_lsns = cut_lsns
-            else:
-                p_lsns = sorted({int(l) for k in ks
-                                 for l in by_key.get(k, ())})
-            cuts_by_part[p] = [(L, ops_by_lsn[L]) for L in p_lsns]
-        # read each touched partition's key-filtered rows ONCE (the ref
-        # lands in the object store), then shard its cut list across fold
-        # tasks (≤32 cuts each): a many-event key's cuts all live in ONE
-        # partition and each in-process fold is serial within a task —
-        # sharding parallelizes the folds while every shard reads the
-        # shared rows zero-copy from plasma
-        read_refs = {
-            p: (prelaunched[p]
-                if prelaunched is not None and p in prelaunched
-                else _read_key_rows_task.remote(
-                    base_by_part.get(p, []), delta_by_part.get(p, []),
-                    self.cfg, base_is_final, cut_lsns[-1], ks,
-                    payload_cols))
-            for p, ks in sorted(keys_by_part.items())
-            if cuts_by_part[p]
-        }
-        # Ordinary (non-local) keys take the single-sweep path: ONE task
-        # per partition computes every cut's state in O(key-events +
-        # cuts) via searchsorted timelines, mid-stream DDL included
-        # (VERDICT r3 item 3). Local-id keys fall back to the
-        # incremental-fold shards (≤32 cuts each) — positional
-        # allocation needs the real fold.
-        sweep_ok = not any(
-            k.startswith(self.cfg.local_id_prefix + "-") for k in keys)
-        if sweep_ok:
-            refs = [
-                _asof_sweep_task.remote(
-                    read_refs[p], self.cfg, cuts_by_part[p], ks,
-                    payload_cols)
-                for p, ks in sorted(keys_by_part.items())
-                if cuts_by_part[p]
-            ]
-        else:
-            refs = [
-                _asof_key_states_task.remote(
-                    read_refs[p], self.cfg, offsets,
-                    cuts_by_part[p][i:i + 32], ks, payload_cols)
-                for p, ks in sorted(keys_by_part.items())
-                for i in range(0, len(cuts_by_part[p]), 32)
-            ]
-        return self._asof_collect(ray.get(refs), columns, ops_for)
-
-    def _ops_prefix_resolver(self):
-        """``ops_for(L)`` → DDL ops with lsn ≤ L. The ops log is
-        append-only in lsn order, so each cut's list is a PREFIX —
-        bisect per cut and share the prefix objects (4001 per-cut filter
-        scans were ~0.2 s of a long lineage, r5 profiling); unsorted
-        legacy logs fall back to the per-cut filter (memoized)."""
-        all_ops = self.manifest.state["schema_ops"]
-        op_lsns = [o["lsn"] for o in all_ops]
-        if all(a <= b for a, b in zip(op_lsns, op_lsns[1:])):
-            ops_for = _ops_prefix_fn(all_ops)
-        else:
-            memo: dict[int, list] = {}
-
-            def ops_for(L: int) -> list:
-                got = memo.get(L)
-                if got is None:
-                    got = memo[L] = self._schema_ops_up_to(None, L)
-                return got
-        return ops_for
-
-    def _asof_collect(self, tables, columns, ops_for,
-                      ) -> dict[tuple[str, int], dict]:
-        """Postprocess as-of sweep/fold task results into the
-        ``{(doc_id, lsn): state_row}`` map (shared by ``_asof_states``
-        and the prelaunched doc_history fast path): cuts grouped by
-        as-of schema signature, one evolve-chain application per
-        group."""
+    def _asof_collect(self, tables,
+                      columns) -> dict[tuple[str, int], dict]:
+        """Postprocess self-cutting sweep results (``_asof_lsn``-tagged
+        FOLD_SCHEMA rows) into the ``{(doc_id, lsn): state_row}`` map of
+        ``doc_history_many``: cuts grouped by as-of schema signature, one
+        evolve-chain application per group."""
+        ops_for = _ops_prefix_fn(self.manifest.state["schema_ops"])
         out: dict[tuple[str, int], dict] = {}
         per_plugin = bool(self.cfg.policy_plugins)
         for t in tables:

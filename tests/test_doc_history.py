@@ -272,9 +272,9 @@ def test_doc_history_many_matches_singles(ray_session, fixture_dir, tmp_path):
 
 
 def test_versions_are_batched_not_per_event(ray_session, fixture_dir, tmp_path):
-    """The with_versions reconstruction must run through the batched
-    _asof_states fold (one key-filtered pass per partition), NOT a
-    sequential lookup() per retained event (VERDICT r2 item 7)."""
+    """The with_versions reconstruction of an ordinary key must run
+    through the self-cutting sweep (one key-filtered pass per partition),
+    NOT the per-cut lookup() fallback (VERDICT r2 item 7)."""
     cfg = ReplayConfig(num_partitions=8)
     rp = _replay(str(tmp_path / "t"), fixture_dir, cfg)
     evs = _events(fixture_dir)
@@ -309,9 +309,9 @@ def test_doc_history_many_after_bloom_index(ray_session, fixture_dir, tmp_path):
 
 
 def test_versions_salted_fallback(ray_session, fixture_dir, tmp_path):
-    """num_salts > 1 routes _asof_states through the per-cut lookup
-    fallback (the salted fold is a two-stage exchange); results must be
-    bit-identical to the unsalted batched path."""
+    """num_salts > 1 sends every key to the per-cut lookup fallback (the
+    salted fold is a two-stage exchange); results must be bit-identical
+    to the unsalted sweep path."""
     evs = _events(fixture_dir)
     key = _busy_key(evs, want_ops=("update",))
     plain = _replay(str(tmp_path / "p"), fixture_dir,
@@ -331,16 +331,15 @@ def test_versions_salted_fallback(ray_session, fixture_dir, tmp_path):
 ])
 def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
                                 with_drops, seed):
-    """The O(events + cuts) as-of sweep and the incremental-fold task
-    produce bit-identical per-cut states across BOTH column strategies
-    and DDL shapes (adds/renames, and drops when with_drops) — the sweep
-    is the default path, the fold task remains the local-id fallback."""
-    import numpy as np
+    """The O(events + cuts) as-of sweep and a one-shot ``fold_bucket``
+    per cut (the fold ``lookup(up_to_lsn=L)`` runs) produce bit-identical
+    per-cut states across BOTH column strategies and DDL shapes
+    (adds/renames, and drops when with_drops)."""
     import pyarrow.compute as pc
-    import ray
 
     from marc_data_migration_ray.pipelines.replay import (
-        _asof_key_states_task, _asof_sweep, _read_bucket_tables)
+        _asof_sweep, _read_bucket_tables)
+    from marc_data_migration_ray.stages.fold import fold_bucket
 
     fixture_dir = str(tmp_path / "fx")
     fixtures.write_fixture(fixture_dir, n_rows=120, n_events=700,
@@ -355,6 +354,7 @@ def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
     lsns = sorted({r["lsn"] for r in evs if r["doc_id"] is not None
                    and _norm(r["doc_id"]) in keys})
     cuts = [(L, rp._schema_ops_up_to(None, L)) for L in lsns]
+    want = pa.array(keys, pa.string())
     for p in sorted(rp._parts_for_keys(keys)):
         allr = _read_bucket_tables(
             base_by_part.get(p, []), delta_by_part.get(p, []), cfg,
@@ -362,8 +362,17 @@ def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
         if allr is None:
             continue
         swept = _asof_sweep(allr, cfg, cuts, keys, None)
-        folded = ray.get(_asof_key_states_task.remote(
-            allr, cfg, offsets, cuts, keys, None))
+        per_cut = []
+        for L, ops in cuts:
+            r = fold_bucket(
+                allr.filter(pc.or_kleene(allr["is_base"],
+                                         pc.less_equal(allr["lsn"], L))),
+                cfg, offsets, ops)
+            r = r.filter(pc.and_(pc.equal(r["_kind"], "row"),
+                                 pc.is_in(r["doc_id"], value_set=want)))
+            per_cut.append(r.append_column(
+                "_asof_lsn", pa.array([L] * r.num_rows, pa.int64())))
+        folded = pa.concat_tables(per_cut)
 
         def _index(t):
             rows = {}
@@ -398,8 +407,8 @@ def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
 
 def test_versions_fallback_when_auto_sweep_diverges(ray_session, tmp_path,
                                                     monkeypatch):
-    """The fused self-cutting sweep's coverage check must fall back to
-    the explicit-cut _asof_states path (and produce identical output)
+    """The self-cutting sweep's coverage check must hand the partition's
+    keys to the per-cut lookup fallback (and produce identical output)
     if a wanted cut is ever missing from the worker-derived set."""
     import marc_data_migration_ray.pipelines.replay as R
 
@@ -434,14 +443,14 @@ def test_versions_fallback_when_auto_sweep_diverges(ray_session, tmp_path,
             return _drop_last.remote(*a, **kw)
 
     fell_back = []
-    orig_states = R.Replayer._asof_states
+    orig_lookup = R.Replayer.lookup
 
-    def _spy_states(self, *a, **kw):
-        fell_back.append(True)
-        return orig_states(self, *a, **kw)
+    def _spy_lookup(self, *a, **kw):
+        fell_back.append(kw.get("up_to_lsn"))
+        return orig_lookup(self, *a, **kw)
 
     monkeypatch.setattr(R, "_asof_sweep_auto_task", _Broken)
-    monkeypatch.setattr(R.Replayer, "_asof_states", _spy_states)
+    monkeypatch.setattr(R.Replayer, "lookup", _spy_lookup)
     got = rp.doc_history(key, with_payload=True, with_versions=True)
     monkeypatch.undo()
     assert fell_back, "coverage check did not trigger the fallback"

@@ -175,3 +175,56 @@ def test_parse_routes_local_keys_to_embedded_partition(ray_session):
     assert rows[1]["key"] == "LOCAL-0013-102" and rows[1]["part_id"] == 13 % 8
     assert rows[0]["route"] == "applied" and rows[1]["route"] == "applied"
     assert rows[2]["key"] == "123"
+
+
+def _versions_vs_lookup(rp, key):
+    """(lsn, state_live, state_n_tok) of every event of ``key``'s
+    ``doc_history(with_versions=True)``, each checked against the per-cut
+    ``lookup([key], up_to_lsn=lsn)`` it must equal."""
+    got = []
+    for r in rp.doc_history(key, with_versions=True).to_pylist():
+        if r["op"] == "base":
+            continue
+        rows = rp.lookup([key], up_to_lsn=r["lsn"]).take_all()
+        assert r["state_live"] == bool(rows), r
+        assert r["state_n_tok"] == (rows[0]["n_tok"] if rows else None), r
+        got.append((r["lsn"], r["state_live"], r["state_n_tok"]))
+    return got
+
+
+def test_local_id_versions_match_per_cut_lookup(ray_session, base_dir,
+                                                tmp_path):
+    """Local-id keys take the per-cut lookup path of doc_history's as-of
+    states (positional allocation needs the real fold): an uncompacted
+    allocation addressed by an early (noop) update, and a compacted id
+    through update, update, delete."""
+    cfg = ReplayConfig(num_partitions=8)
+    root = str(tmp_path / "early")
+    rp = Replayer(root, cfg, base_path=base_dir)
+    part = oracle.partition_of(None, "unnormalizable-0", 8)
+    guess = f"LOCAL-{part:04d}-101"
+    ev = _keyless_inserts(3, 0, 1) + [
+        {"lsn": 50, "epoch": 0, "op": "update", "doc_id": guess,
+         "tokens": [7], "n_tok": 1, "source": "early",
+         "match_score": 100, "column_mask": []}]
+    rp.apply_epoch(0, _write_epoch(root, 0, ev))
+    assert _versions_vs_lookup(rp, guess) == [(50, True, 3)]
+
+    root = str(tmp_path / "compacted")
+    rp = Replayer(root, cfg, base_path=base_dir)
+    rp.apply_epoch(0, _write_epoch(root, 0, _keyless_inserts(4, 0, 1)))
+    rp.compact()
+    lid = next(r["doc_id"] for r in _state_rows(rp)
+               if r["doc_id"].startswith("LOCAL-"))
+    rp.apply_epoch(1, _write_epoch(root, 1, [
+        {"lsn": 200, "epoch": 1, "op": "update", "doc_id": lid,
+         "tokens": [1, 2], "n_tok": 2, "source": "a", "match_score": 100,
+         "column_mask": []},
+        {"lsn": 201, "epoch": 1, "op": "update", "doc_id": lid,
+         "tokens": [1, 2, 3, 4], "n_tok": 4, "source": "b",
+         "match_score": 100, "column_mask": []},
+        {"lsn": 202, "epoch": 1, "op": "delete", "doc_id": lid,
+         "match_score": 0},
+    ]))
+    assert _versions_vs_lookup(rp, lid) == [
+        (200, True, 2), (201, True, 4), (202, False, None)]

@@ -42,6 +42,12 @@ def test_schema_ops_dedup_on_lsn(tmp_path):
     m.record_schema_ops([op])
     m.record_schema_ops([op])  # duplicate delivery
     assert len(m.state["schema_ops"]) == 1
+    # out-of-order delivery: the log stays sorted by lsn, which the as-of
+    # lineage's prefix bisect (replay._ops_prefix_fn) relies on
+    m2 = Manifest(str(tmp_path / "m2"))
+    m2.record_schema_ops([dict(op, lsn=9)])
+    m2.record_schema_ops([dict(op, lsn=3)])
+    assert [o["lsn"] for o in m2.state["schema_ops"]] == [3, 9]
 
 
 def test_compaction_offsets(tmp_path):

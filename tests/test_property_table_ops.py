@@ -107,8 +107,9 @@ def test_random_maintenance_interleaving(ray_session, tmp_path, seed):
     # event log must list exactly the keys' binlog events in lsn order
     # (whatever compact/segment/repartition landed), and every as-of
     # state at/above the compaction ceiling must equal the oracle's
-    # prefix replay (batched _asof_states on unsalted layouts, per-cut
-    # lookup fallback on salted ones — both seeds' layouts exercise both)
+    # prefix replay (the self-cutting sweep on unsalted layouts, the
+    # per-cut lookup fallback on salted ones — both seeds' layouts
+    # exercise both)
     import pyarrow as pa
 
     from marc_data_migration_ray.functions.keys import normalize_keys
