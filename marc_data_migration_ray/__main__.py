@@ -431,8 +431,9 @@ def main(argv=None) -> int:
                     help="run maintain() (auto compact/level-1 merge) after "
                          "every K applied epochs (0 = never)")
     fo.add_argument("--index-blooms", action="store_true", dest="index_blooms",
-                    help="build .keybloom file-skipping sidecars for each "
-                         "applied epoch's delta files (index-on-ingest)")
+                    help="backfill .keybloom file-skipping sidecars after "
+                         "each applied epoch (ingest writes them itself; "
+                         "this only indexes files written by older code)")
     fo.add_argument("--max-deadletter-rate", type=float, default=None,
                     dest="max_dl_rate",
                     help="write-audit-publish gate: veto (and stop) when an "
@@ -568,8 +569,9 @@ def main(argv=None) -> int:
 
     ib = sub.add_parser(
         "index-blooms",
-        help="build .keybloom file-skipping sidecars for all delta/segment "
-             "files (point lookups then skip key-free files)",
+        help="backfill .keybloom file-skipping sidecars for delta/segment "
+             "files written without one by older code (point lookups "
+             "then skip key-free files)",
     )
     ib.add_argument("--table", required=True)
     _add_cfg_args(ib)

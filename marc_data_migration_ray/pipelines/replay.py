@@ -11,6 +11,12 @@ Physical plan (SURVEY §4.2) — co-partitioned, shuffle-free merge-on-read:
                                                    dead-letter sink too)
                  ──manifest.commit_epoch──►  exactly-once, epoch-fenced
 
+    The write task returns each file's manifest stats (``_delta_file_stats``)
+    and writes its ``.keybloom`` sidecar from the rows it holds, so there
+    is no stats pass: only an epoch dir re-adopted from an earlier attempt
+    reads its stats back from the files. ``compact_deltas`` writes its
+    segment sidecars too, so ``build_key_blooms`` only backfills old tables.
+
     state: base is bucketized once into the same part_p layout; thereafter
     every read_state/compact is P INDEPENDENT per-bucket fold tasks
     (vectorized polars LWW fold, SEMANTICS.md) — no all-to-all exchange,
@@ -80,42 +86,6 @@ _ROW_COLS = _DISPLAY_COLS + ["extra_json"]
 #: the writer's buffering is bounded by the task's own block size.
 _ROW_GROUP_SIZE = 1 << 20
 DELTA_ROUTES = ("applied", "fuzzy", "local")
-
-
-@ray.remote(num_cpus=1)
-def _part_stats_task(files: list[str]) -> tuple:
-    """Route counts + min/max lsn + schema rows for one partition's files."""
-    route_counts: dict[str, int] = {}
-    max_lsn = -1
-    min_lsn = None
-    schema_tables = []
-    for f in files:
-        t = pq.read_table(f, columns=["lsn", "route"])
-        file_schema_rows = 0
-        for item in pc.value_counts(t["route"]).to_pylist():
-            route_counts[item["values"]] = route_counts.get(item["values"], 0) + item["counts"]
-            if item["values"] == "schema":
-                file_schema_rows = item["counts"]
-        if t.num_rows:
-            m = pc.max(t["lsn"]).as_py()
-            if m is not None:
-                max_lsn = max(max_lsn, m)
-            mn = pc.min(t["lsn"]).as_py()
-            if mn is not None:
-                min_lsn = mn if min_lsn is None else min(min_lsn, mn)
-        # THIS file's schema count, not the cumulative total — one early
-        # schema event used to force the 5-column re-read on every later
-        # schema-free file in the partition (code-review r5)
-        if file_schema_rows:
-            st = pq.read_table(
-                f, columns=["lsn", "route", "schema_kind", "schema_name", "schema_new_name"]
-            )
-            st = st.filter(pc.equal(st["route"], "schema"))
-            if st.num_rows:
-                schema_tables.append(st)
-    srows = pa.concat_tables(schema_tables) if schema_tables else None
-    return route_counts, max_lsn, min_lsn, srows
-
 
 
 #: target parsed-block size for the ingest write. Fewer, larger blocks keep
@@ -209,37 +179,100 @@ def _prune_by_keybloom(delta_files: list[str], keys: pa.Array,
     return out
 
 
+def _write_keybloom(path: str, keys: pa.Array) -> None:
+    """Write ``path``'s ``.keybloom`` sidecar from the file's ``key``
+    column: right-sized bitmap + keyless flag, atomic publish."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    valid = keys.drop_null()
+    m_bits = _KEYBLOOM_MIN_BITS
+    while m_bits < 16 * max(1, len(valid)):
+        m_bits <<= 1
+    bm = np.zeros(m_bits // 8, np.uint8)
+    if len(valid):
+        pos = _kb_positions(_keybloom_u64(valid), m_bits).ravel()
+        np.bitwise_or.at(bm, pos >> 3,
+                         np.left_shift(1, pos & 7).astype(np.uint8))
+    hdr = np.zeros(12, np.uint8)
+    hdr[:4] = np.frombuffer(_KEYBLOOM_MAGIC, np.uint8)
+    hdr[4] = 1 if keys.null_count else 0
+    hdr[8:12] = np.frombuffer(
+        np.uint32(m_bits).tobytes(), np.uint8)
+    sc = path + _KEYBLOOM_SUFFIX
+    tmp = f"{sc}.{os.getpid()}.tmp"
+    np.concatenate([hdr, bm]).tofile(tmp)
+    os.replace(tmp, sc)
+
+
 @ray.remote(num_cpus=1)
 def _build_keybloom_task(files: list[str]) -> int:
-    """Build missing ``.keybloom`` sidecars: one pruned ``key``-column
-    read per file, right-sized bitmap + keyless flag, atomic publish."""
+    """Backfill missing ``.keybloom`` sidecars (files written before
+    ingest and ``compact_deltas`` wrote their own): one pruned
+    ``key``-column read per file."""
     built = 0
     for f in files:
-        sc = f + _KEYBLOOM_SUFFIX
-        if os.path.exists(sc):
+        if os.path.exists(f + _KEYBLOOM_SUFFIX):
             continue
-        keys = pq.read_table(f, columns=["key"])["key"]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        valid = keys.drop_null()
-        m_bits = _KEYBLOOM_MIN_BITS
-        while m_bits < 16 * max(1, len(valid)):
-            m_bits <<= 1
-        bm = np.zeros(m_bits // 8, np.uint8)
-        if len(valid):
-            pos = _kb_positions(_keybloom_u64(valid), m_bits).ravel()
-            np.bitwise_or.at(bm, pos >> 3,
-                             np.left_shift(1, pos & 7).astype(np.uint8))
-        hdr = np.zeros(12, np.uint8)
-        hdr[:4] = np.frombuffer(_KEYBLOOM_MAGIC, np.uint8)
-        hdr[4] = 1 if keys.null_count else 0
-        hdr[8:12] = np.frombuffer(
-            np.uint32(m_bits).tobytes(), np.uint8)
-        tmp = f"{sc}.{os.getpid()}.tmp"
-        np.concatenate([hdr, bm]).tofile(tmp)
-        os.replace(tmp, sc)
+        _write_keybloom(f, pq.read_table(f, columns=["key"])["key"])
         built += 1
     return built
+
+
+#: the delta-file columns the manifest's schema ops are built from
+_SCHEMA_COLS = ["lsn", "schema_kind", "schema_name", "schema_new_name"]
+
+
+def _delta_file_stats(part_p: int, t: pa.Table, path: str) -> tuple:
+    """Manifest stats of one delta file — its partition, route counts,
+    min/max lsn and schema rows — plus its ``.keybloom`` sidecar, from
+    the rows in ``t``. The ingest write task calls it on every file it
+    writes (``on_file``), so no pass re-reads the files."""
+    _write_keybloom(path, t["key"])
+    routes = {r["values"]: r["counts"]
+              for r in pc.value_counts(t["route"]).to_pylist()}
+    mm = pc.min_max(t["lsn"]).as_py()
+    srows = (t.select(_SCHEMA_COLS).filter(pc.equal(t["route"], "schema"))
+             .to_pylist() if routes.get("schema") else [])
+    return part_p, routes, mm["min"], mm["max"], srows
+
+
+def _epoch_entry_from_stats(final_dir: str, stats: list[tuple]) -> dict:
+    """Manifest entry (route counts, lsn bounds, schema ops, PER-PARTITION
+    applied-lsn lineage) from the ``_delta_file_stats`` rows of an
+    epoch's files."""
+    route_counts: dict[str, int] = {}
+    part_lineage: dict[str, dict] = {}
+    min_lsn, max_lsn = None, -1
+    schema_rows = []
+    for p, rc, mn, mx, srows in sorted(stats, key=lambda s: s[0]):
+        for k, v in rc.items():
+            route_counts[k] = route_counts.get(k, 0) + v
+        # per-partition checkpoint: rows + highest applied lsn (the
+        # north-star "per-partition lineage + applied-LSN metrics")
+        lin = part_lineage.setdefault(str(p), {"rows": 0, "max_lsn": -1})
+        lin["rows"] += sum(rc.values())
+        if mx is not None:
+            lin["max_lsn"] = max(lin["max_lsn"], mx)
+            max_lsn = max(max_lsn, mx)
+        if mn is not None:
+            min_lsn = mn if min_lsn is None else min(min_lsn, mn)
+        schema_rows += srows
+    ops: dict[int, dict] = {}  # first row per lsn
+    for r in schema_rows:
+        ops.setdefault(r["lsn"], {"lsn": r["lsn"], "kind": r["schema_kind"],
+                                  "name": r["schema_name"],
+                                  "new_name": r["schema_new_name"]})
+    processed = sum(route_counts.values())
+    return {
+        "rows": processed,
+        "processed": processed,
+        "routes": route_counts,
+        "max_lsn": max_lsn,
+        "min_lsn": min_lsn,
+        "parts": part_lineage,
+        "dir": final_dir,
+        "_schema_ops": [ops[k] for k in sorted(ops)],
+    }
 
 
 def _read_bucket_tables(base_files, delta_files, cfg, base_is_final_schema,
@@ -393,6 +426,7 @@ def _merge_delta_files_task(files: list[str], out_file: str) -> int:
     merged = pa.Table.from_arrays(cols, schema=PARSED_SCHEMA)
     os.makedirs(os.path.dirname(out_file), exist_ok=True)
     pq.write_table(merged, out_file)
+    _write_keybloom(out_file, merged["key"])
     return merged.num_rows
 
 
@@ -1263,6 +1297,7 @@ class Replayer:
                     "already": True}
 
         staged_here = False
+        stats = None
         final_dir = os.path.join(self.root, "deltas", f"epoch={epoch}")
         if final_dir in self.manifest.rollback_pending():
             # leftovers of a rolled-back epoch that crashed mid-cleanup:
@@ -1333,10 +1368,13 @@ class Replayer:
                     batch_format="pyarrow",
                     zero_copy_batch=True,
                 )
-            write_parquet_partitioned(
+            # the write task returns each file's manifest stats and writes
+            # its .keybloom sidecar while it still holds the rows
+            stats = write_parquet_partitioned(
                 parsed, tmp_dir, ["part_p"],
                 row_group_size=_ROW_GROUP_SIZE,
-                expected_partitions=self.cfg.num_partitions * self.cfg.num_salts)
+                expected_partitions=self.cfg.num_partitions * self.cfg.num_salts,
+                on_file=_delta_file_stats)
             # zero-ROW binlog files: write_parquet creates nothing, but the
             # epoch must still publish (and later compact) as empty
             os.makedirs(tmp_dir, exist_ok=True)
@@ -1351,8 +1389,17 @@ class Replayer:
                 if not os.path.exists(final_dir):
                     raise
                 shutil.rmtree(tmp_dir, ignore_errors=True)
+                stats = None
 
-        entry = self._epoch_entry_from_files(epoch, final_dir)
+        if stats is None:
+            # re-adopting files staged earlier (a lost commit, or the other
+            # side of a lost publish race): the same stats from a read of
+            # the small key/lsn/route/schema columns
+            cols = ["key", "route"] + _SCHEMA_COLS
+            stats = [_delta_file_stats(p, pq.read_table(f, columns=cols), f)
+                     for p, fs in self._files_by_part(final_dir).items()
+                     for f in fs]
+        entry = _epoch_entry_from_stats(final_dir, stats)
         # LSN-monotone fence: a compacted snapshot row keeps only its
         # last_lsn, so an event at or below the compaction ceiling can no
         # longer be ordered correctly against absorbed writes (a sub-ceiling
@@ -1440,58 +1487,6 @@ class Replayer:
             if len(run) == K:
                 self.compact_deltas(run[0], run[-1])
                 return
-
-    def _epoch_entry_from_files(self, epoch: int, final_dir: str) -> dict:
-        """Manifest entry (route counts, max lsn, schema ops, PER-PARTITION
-        applied-lsn lineage) from committed files — one parallel stats task
-        per partition dir, columnar reads of the tiny route/lsn/schema
-        columns only."""
-        part_files = self._files_by_part(final_dir)
-        parts = sorted(part_files)
-        refs = [_part_stats_task.remote(part_files[p]) for p in parts]
-        route_counts: dict[str, int] = {}
-        max_lsn = -1
-        schema_rows = []
-        part_lineage: dict[str, dict] = {}
-        min_lsn = None
-        for p, (rc, ml, mn, srows) in zip(parts, ray.get(refs)):
-            for k, v in rc.items():
-                route_counts[k] = route_counts.get(k, 0) + v
-            max_lsn = max(max_lsn, ml)
-            if mn is not None:
-                min_lsn = mn if min_lsn is None else min(min_lsn, mn)
-            # per-partition checkpoint: rows + highest applied lsn (the
-            # north-star "per-partition lineage + applied-LSN metrics")
-            part_lineage[str(p)] = {"rows": sum(rc.values()), "max_lsn": ml}
-            if srows is not None:
-                schema_rows.append(srows)
-        schema_ops = []
-        if schema_rows:
-            t = pa.concat_tables(schema_rows)
-            seen = set()
-            for r in t.sort_by("lsn").to_pylist():
-                if r["lsn"] in seen:
-                    continue
-                seen.add(r["lsn"])
-                schema_ops.append(
-                    {
-                        "lsn": r["lsn"],
-                        "kind": r.get("schema_kind"),
-                        "name": r.get("schema_name"),
-                        "new_name": r.get("schema_new_name"),
-                    }
-                )
-        processed = sum(route_counts.values())
-        return {
-            "rows": processed,
-            "processed": processed,
-            "routes": route_counts,
-            "max_lsn": max_lsn,
-            "min_lsn": min_lsn,
-            "parts": part_lineage,
-            "dir": final_dir,
-            "_schema_ops": schema_ops,
-        }
 
     # ------------------------------------------------------------------ #
     # base bucketization (one-time layout alignment)
@@ -3330,7 +3325,11 @@ class Replayer:
         ``doc_history`` / key-filtered folds) then SKIP files the bitmap
         proves key-free — at 100 TB a lookup over a bucket with hundreds
         of retained delta files opens only the handful that can hold the
-        key. Idempotent; sidecars live inside the dirs they index, so
+        key. Ingest and ``compact_deltas`` write these sidecars with the
+        files themselves, so this is only the backfill for tables written
+        before they did (``maintain()``, CLI ``index-blooms``); on a table
+        written by this code it finds nothing to build. Idempotent;
+        sidecars live inside the dirs they index, so
         vacuum / rollback reclaim them with their data. ``only_parts``
         restricts the build to those logical partitions' directories
         (current layout; pure scope-limiting — pruning stays correct for
@@ -3375,11 +3374,10 @@ class Replayer:
         takes no actions). State is bit-identical before/after — every
         action is one of the engine's proven-equivalent maintenance ops.
 
-        ``build_blooms`` (default on, VERDICT r4 item 5) finishes by
-        building the ``.keybloom`` file-skipping sidecars for any file
-        still missing one — point lookups and as-of lineage prune cold
-        files without a separate ``index-blooms`` step; idempotent and
-        incremental like the rest of maintain."""
+        ``build_blooms`` (default on) finishes with ``build_key_blooms``,
+        the backfill of ``.keybloom`` sidecars for tables written before
+        ingest and ``compact_deltas`` wrote their own; on a table written
+        by this code it finds nothing to build."""
         before = {k: None for k in self._MAINTAIN_KEYS}
         actions: list[str] = []
         for rnd in range(max_rounds):

@@ -30,6 +30,19 @@ def _replay(root, fdir, cfg):
     return rp
 
 
+def _pop_sidecars(root):
+    """Delete the sidecars ingest wrote, so the table stands for one
+    written by older code (no sidecars); return their bytes by path."""
+    out = {}
+    for sc in glob.glob(os.path.join(root, "**", "*" + _KEYBLOOM_SUFFIX),
+                        recursive=True):
+        with open(sc, "rb") as f:
+            out[sc] = f.read()
+        os.remove(sc)
+    assert out, "ingest must write a sidecar per delta file"
+    return out
+
+
 def _epoch_keys(fdir, e):
     out = set()
     d = os.path.join(fdir, "binlog", f"epoch={e}")
@@ -50,6 +63,7 @@ def test_lookup_identical_and_files_skipped(ray_session, tmp_path):
                            seed=91, invalid_key_frac=0.0,
                            schema_change_frac=0.0)
     rp = _replay(str(tmp_path / "t"), fdir, ReplayConfig(num_partitions=4))
+    ingest_sidecars = _pop_sidecars(str(tmp_path / "t"))
     # a key seen only in epoch 2
     only_e2 = sorted(_epoch_keys(fdir, 2) - _epoch_keys(fdir, 0)
                      - _epoch_keys(fdir, 1))
@@ -62,6 +76,12 @@ def test_lookup_identical_and_files_skipped(ray_session, tmp_path):
     rep = rp.build_key_blooms()
     assert rep["built"] == rep["files"] > 0
     assert rp.build_key_blooms()["built"] == 0  # idempotent
+    # the backfill writes byte for byte what ingest wrote
+    backfilled = {}
+    for sc in ingest_sidecars:
+        with open(sc, "rb") as f:
+            backfilled[sc] = f.read()
+    assert backfilled == ingest_sidecars
 
     for kk in some_keys:
         assert rp.lookup([kk]).take_all() == before[kk], kk
@@ -115,6 +135,7 @@ def test_missing_or_torn_sidecar_is_kept(ray_session, tmp_path):
     rp = Replayer(str(tmp_path / "t"), ReplayConfig(num_partitions=2),
                   base_path=os.path.join(fdir, "base"))
     rp.apply_epoch(0, os.path.join(fdir, "binlog", "epoch=0"))
+    _pop_sidecars(str(tmp_path / "t"))
     files = glob.glob(os.path.join(str(tmp_path / "t"), "deltas", "**",
                                    "*.parquet"), recursive=True)
     w = pa.array(["nope"], pa.string())

@@ -89,18 +89,29 @@ def test_crash_resume(ray_session, fixture_dir, tmp_path):
 
 def test_partial_write_then_retry(ray_session, fixture_dir, tmp_path):
     """Data dir published but manifest commit lost → re-apply heals (commit
-    from files), state identical."""
+    from files). The re-adopted epoch takes its stats from a read of the
+    published files, the one path that still does; its entry and schema
+    ops must equal the ones the write task produced."""
     cfg = ReplayConfig(num_partitions=8)
     root = str(tmp_path / "t")
     rp = Replayer(root, cfg, base_path=os.path.join(fixture_dir, "base"))
     rp.apply_epoch(0, os.path.join(fixture_dir, "binlog", "epoch=0"))
-    # simulate losing the manifest entry after data publish
+    ops0 = [o for o in rp.manifest.state["schema_ops"] if o["epoch"] == 0]
+    assert ops0, "fixture epoch 0 must carry schema events"
+    # simulate losing the commit after data publish: the entry and its
+    # schema ops are one manifest write
     saved = rp.manifest.state["epochs"].pop("0")
+    rp.manifest.state["schema_ops"] = [
+        o for o in rp.manifest.state["schema_ops"] if o["epoch"] != 0]
     rp.manifest.save()
     assert not rp.manifest.is_committed(0)
     entry = rp.apply_epoch(0, os.path.join(fixture_dir, "binlog", "epoch=0"))
     assert rp.manifest.is_committed(0)
-    assert entry["routes"] == saved["routes"]
+    for k in ("routes", "parts", "min_lsn", "max_lsn", "rows", "processed",
+              "dir"):
+        assert entry[k] == saved[k], k
+    assert [o for o in rp.manifest.state["schema_ops"]
+            if o["epoch"] == 0] == ops0
 
 
 def test_duplicate_delivery_is_idempotent(ray_session, fixture_dir, tmp_path):

@@ -89,8 +89,8 @@ def test_wide_rows_replay_bit_exact(ray_session, tmp_path, wide_dir):
 def test_partitioned_write_beyond_1024_partitions(ray_session, tmp_path):
     """The 100M-event probe's 2560-partition layout died in Ray's
     ParquetDatasink (pyarrow default max_partitions=1024). The
-    WidePartitionParquetDatasink raises the cap; layout stays hive-
-    compatible with plain write_parquet."""
+    engine's own sink writes one file per partition with no cap; the
+    layout stays hive-compatible with plain write_parquet."""
     import os
 
     import pyarrow as pa
