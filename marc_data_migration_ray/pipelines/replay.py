@@ -33,6 +33,12 @@ Physical plan (SURVEY §4.2) — co-partitioned, shuffle-free merge-on-read:
     repartition move rows between partitions through
     ``write_parquet_partitioned``.
 
+    backfill / delete_where / merge are engine-generated epochs with one
+    write path (``Replayer._apply_generated``): fold the state, mint each
+    partition's binlog rows in one ``_generate_part_task`` (the operation
+    is a small picklable ``gen``; ``_gen_rows`` builds the rows), then
+    ``apply_epoch`` them like any upstream epoch.
+
 Scale notes (100 TB): the per-bucket fold is the unit of memory — size
 ``num_partitions`` so one bucket's live rows fit a worker (thousands of
 partitions at cluster scale). Epoch ingest is embarrassingly parallel
@@ -980,231 +986,180 @@ def _diff_bucket_task(ta: pa.Table, tb: pa.Table,
     return out.cast(pa.schema(fields))
 
 
+def _gen_rows(op: str, rows: pa.Table, score: int = 100,
+              mask: list[str] | None = None) -> pa.Table:
+    """Binlog rows of one engine-generated ``op`` over ``rows`` (canonical
+    ``doc_id tokens n_tok source``). Deletes carry no payload; only
+    updates carry a column mask (``[]`` = every payload column). The
+    parse stage null-fills the title, ``extra_json`` and ``schema_*``
+    columns; ``_generate_part_task`` adds ``lsn`` and ``epoch``."""
+    n = rows.num_rows
+    payload = op != "delete"
+
+    def _pay(name: str, typ: pa.DataType):
+        return pc.cast(rows[name], typ) if payload else pa.nulls(n, typ)
+
+    return pa.table({
+        "op": pa.array([op] * n, pa.string()),
+        "doc_id": pc.cast(rows["doc_id"], pa.string()),
+        "tokens": _pay("tokens", pa.list_(pa.int32())),
+        "n_tok": _pay("n_tok", pa.int32()),
+        "source": _pay("source", pa.string()),
+        "column_mask": pa.array([mask or []] * n, pa.list_(pa.string()))
+        if op == "update" else pa.nulls(n, pa.list_(pa.string())),
+        "match_score": pa.array([score] * n, pa.int32()),
+    })
+
+
 @ray.remote(num_cpus=1)
-def _backfill_part_task(
-    t: pa.Table, transform, part: int, P: int, base_lsn: int, epoch: int,
+def _generate_part_task(
+    state: pa.Table, gen, part: int, P: int, base_lsn: int, epoch: int,
     out_file: str,
-) -> tuple[int, int]:
-    """Generate one partition's backfill update events (see
-    Replayer.backfill): live canonical-keyed rows → transform → one
-    perfect-score full-row update event each, lsn = base + i*P + part
-    (globally unique, above the fence). Returns (n_events, n_skipped)."""
-    from marc_data_migration_ray.functions.keys import normalize_keys
-
-    import numpy as np
-
-    rows = t.filter(pc.equal(t["_kind"], "row"))
-    rows = rows.select(["doc_id", "tokens", "n_tok", "source"])
-    canon = pc.equal(
-        pc.fill_null(normalize_keys(rows["doc_id"]), ""), rows["doc_id"]
-    )
-    eligible = rows.filter(canon)
-    n_skipped = rows.num_rows - eligible.num_rows
-    new = transform(eligible)
-    if new.num_rows != eligible.num_rows or "doc_id" not in new.column_names:
-        raise ValueError("backfill transform must return one row per input "
-                         "row and keep doc_id")
-    n = new.num_rows
-    lsn = pa.array(base_lsn + np.arange(n, dtype=np.int64) * P + part)
-
-    def _col(name, typ):
-        if name in new.column_names:
-            return pc.cast(new[name], typ)
-        return pc.cast(eligible[name], typ)
-
-    events = pa.table(
-        {
-            "lsn": lsn,
-            "epoch": pa.array([epoch] * n, pa.int32()),
-            "op": pa.array(["update"] * n, pa.string()),
-            "doc_id": pc.cast(new["doc_id"], pa.string()),
-            "tokens": _col("tokens", pa.list_(pa.int32())),
-            "n_tok": _col("n_tok", pa.int32()),
-            "source": _col("source", pa.string()),
-            "column_mask": pa.array([[]] * n, pa.list_(pa.string())),
-            "match_score": pa.array([100] * n, pa.int32()),
-            "title": pa.nulls(n, pa.string()),
-            "match_title": pa.nulls(n, pa.string()),
-            "extra_json": pa.nulls(n, pa.string()),
-            "schema_kind": pa.nulls(n, pa.string()),
-            "schema_name": pa.nulls(n, pa.string()),
-            "schema_new_name": pa.nulls(n, pa.string()),
-        }
-    )
-    os.makedirs(os.path.dirname(out_file), exist_ok=True)
-    pq.write_table(events, out_file)
-    return n, n_skipped
-
-
-@ray.remote(num_cpus=1)
-def _delete_where_part_task(
-    t: pa.Table, predicate, part: int, P: int, base_lsn: int, epoch: int,
-    ceiling_lsn: int, local_prefix: str, out_file: str,
-) -> tuple[int, int]:
-    """Generate one partition's predicate-delete tombstone events (see
-    Replayer.delete_where). lsn = base + i*P + part (globally unique,
-    above the fence). Returns (n_events, n_skipped_unmaterialized)."""
-    from marc_data_migration_ray.functions.keys import local_id_parts
-
-    import numpy as np
-
-    rows = t.filter(pc.equal(t["_kind"], "row")).select(_ROW_COLS)
-    sel = predicate(rows)
-    if isinstance(sel, pa.ChunkedArray):
-        sel = sel.combine_chunks()
-    if not isinstance(sel, (pa.Array, pa.ChunkedArray)):
-        sel = pa.array(sel, pa.bool_())
-    if len(sel) != rows.num_rows:
-        raise ValueError("delete_where predicate must return one boolean "
-                         "per input row")
-    matched = rows.filter(pc.fill_null(sel, False))
-    # a status='local' row whose lineage lsn is above the compaction
-    # ceiling was allocated after the floor: its id is not yet
-    # materialized as an anchor, so a tombstone addressing it would fold
-    # to nothing — skip and count (SEMANTICS "Local-id addressability")
-    lk, _ = local_id_parts(matched["doc_id"], local_prefix, max(P, 1))
-    unmat = pc.and_(
-        pc.is_valid(lk),
-        pc.greater(pc.fill_null(matched["last_lsn"], -1), ceiling_lsn),
-    )
-    emit = matched.filter(pc.invert(unmat))
-    n_skipped = matched.num_rows - emit.num_rows
-    n = emit.num_rows
-    lsn = pa.array(base_lsn + np.arange(n, dtype=np.int64) * P + part)
-    events = pa.table(
-        {
-            "lsn": lsn,
-            "epoch": pa.array([epoch] * n, pa.int32()),
-            "op": pa.array(["delete"] * n, pa.string()),
-            "doc_id": pc.cast(emit["doc_id"], pa.string()),
-            "tokens": pa.nulls(n, pa.list_(pa.int32())),
-            "n_tok": pa.nulls(n, pa.int32()),
-            "source": pa.nulls(n, pa.string()),
-            "column_mask": pa.nulls(n, pa.list_(pa.string())),
-            "match_score": pa.array([0] * n, pa.int32()),
-            "title": pa.nulls(n, pa.string()),
-            "match_title": pa.nulls(n, pa.string()),
-            "extra_json": pa.nulls(n, pa.string()),
-            "schema_kind": pa.nulls(n, pa.string()),
-            "schema_name": pa.nulls(n, pa.string()),
-            "schema_new_name": pa.nulls(n, pa.string()),
-        }
-    )
-    os.makedirs(os.path.dirname(out_file), exist_ok=True)
-    pq.write_table(events, out_file)
-    return n, n_skipped
-
-
-@ray.remote(num_cpus=1)
-def _merge_source_part_task(
-    t: pa.Table, src_files: list[str], part: int, P: int, base_lsn: int,
-    epoch: int, ceiling_lsn: int, local_prefix: str,
-    when_matched: str | None, when_not_matched: str | None,
-    column_mask: list[str] | None, out_file: str,
-) -> tuple[int, int, int, int]:
-    """Generate one partition's MERGE events (see ``Replayer.merge``):
-    source rows whose key exists live in this partition's folded state
-    become updates (or tombstones), the rest become inserts. lsn =
-    base + i*P + part (globally unique, above the fence). Returns
-    (n_updated, n_deleted, n_inserted, n_skipped_local)."""
-    from marc_data_migration_ray.functions.keys import local_id_parts
-
-    import numpy as np
-
-    src = pa.concat_tables(
-        [pq.read_table(f, columns=["doc_id", "tokens", "n_tok", "source"])
-         for f in src_files]
-    ).combine_chunks()
-    n_src = src.num_rows
-    n_keys = pc.count_distinct(src["doc_id"]).as_py()
-    if n_keys != n_src:
-        raise ValueError(
-            f"merge source has {n_src - n_keys} duplicate doc_id(s) in "
-            f"partition {part}: each target row may be matched by at most "
-            "one source row"
-        )
-    live = t.filter(pc.equal(t["_kind"], "row"))
-    live_ids = live["doc_id"].combine_chunks()
-    pos = pc.index_in(src["doc_id"], value_set=live_ids)
-    matched = pc.is_valid(pos)
-    # local-id-format keys: a matched row above the compaction ceiling is
-    # not yet materialized as an anchor (an update/delete addressing it
-    # folds to nothing), and an unmatched one would squat the allocator's
-    # namespace — skip and count both (SEMANTICS "Local-id addressability")
-    lk, _ = local_id_parts(src["doc_id"], local_prefix, max(P, 1))
-    if live.num_rows:
-        taken_lsn = pc.take(live["last_lsn"].combine_chunks(), pc.fill_null(pos, 0))
-    else:
-        taken_lsn = pa.nulls(n_src, pa.int64())
-    unmat = pc.if_else(
-        matched,
-        pc.greater(pc.fill_null(taken_lsn, -1), ceiling_lsn),
-        pa.scalar(True),
-    )
-    skip = pc.and_(pc.is_valid(lk), unmat)
-    keep = pc.invert(pc.fill_null(skip, False))
-    n_skipped = n_src - pc.sum(pc.cast(keep, pa.int8())).as_py()
-
-    def _seg(rows: pa.Table, op: str) -> pa.Table:
-        n = rows.num_rows
-        payload = op != "delete"
-        if op == "update":
-            mask = pa.array([column_mask or []] * n, pa.list_(pa.string()))
-        else:
-            mask = pa.nulls(n, pa.list_(pa.string()))
-        return pa.table(
-            {
-                "op": pa.array([op] * n, pa.string()),
-                "doc_id": pc.cast(rows["doc_id"], pa.string()),
-                "tokens": pc.cast(rows["tokens"], pa.list_(pa.int32()))
-                if payload else pa.nulls(n, pa.list_(pa.int32())),
-                "n_tok": pc.cast(rows["n_tok"], pa.int32())
-                if payload else pa.nulls(n, pa.int32()),
-                "source": pc.cast(rows["source"], pa.string())
-                if payload else pa.nulls(n, pa.string()),
-                "column_mask": mask,
-            }
-        )
-
-    segs = []
-    hit = src.filter(pc.and_(matched, keep))
-    miss = src.filter(pc.and_(pc.invert(matched), keep))
-    n_upd = n_del = n_ins = 0
-    if when_matched == "update" and hit.num_rows:
-        segs.append(_seg(hit, "update"))
-        n_upd = hit.num_rows
-    elif when_matched == "delete" and hit.num_rows:
-        segs.append(_seg(hit, "delete"))
-        n_del = hit.num_rows
-    if when_not_matched == "insert" and miss.num_rows:
-        segs.append(_seg(miss, "insert"))
-        n_ins = miss.num_rows
-    body = pa.concat_tables(segs) if segs else _seg(src.slice(0, 0), "update")
+) -> tuple:
+    """One partition of an engine-generated epoch
+    (``Replayer._apply_generated``): ``gen(rows, part) -> (binlog rows,
+    counts)`` over the partition's live rows (``_ROW_COLS``); lsn =
+    base + i*P + part, globally unique and above the fence. The file is
+    written only when it has rows. Returns ``counts``."""
+    rows = state.filter(pc.equal(state["_kind"], "row")).select(_ROW_COLS)
+    body, counts = gen(rows, part)
     n = body.num_rows
-    lsn = pa.array(base_lsn + np.arange(n, dtype=np.int64) * P + part)
-    events = pa.table(
-        {
-            "lsn": lsn,
-            "epoch": pa.array([epoch] * n, pa.int32()),
-            "op": body["op"],
-            "doc_id": body["doc_id"],
-            "tokens": body["tokens"],
-            "n_tok": body["n_tok"],
-            "source": body["source"],
-            "column_mask": body["column_mask"],
-            "match_score": pa.array([100] * n, pa.int32()),
-            "title": pa.nulls(n, pa.string()),
-            "match_title": pa.nulls(n, pa.string()),
-            "extra_json": pa.nulls(n, pa.string()),
-            "schema_kind": pa.nulls(n, pa.string()),
-            "schema_name": pa.nulls(n, pa.string()),
-            "schema_new_name": pa.nulls(n, pa.string()),
-        }
-    )
     if n:
+        lsn = pa.array(base_lsn + np.arange(n, dtype=np.int64) * P + part)
+        events = body.add_column(0, "lsn", lsn).add_column(
+            1, "epoch", pa.array([epoch] * n, pa.int32()))
         os.makedirs(os.path.dirname(out_file), exist_ok=True)
         pq.write_table(events, out_file)
-    return n_upd, n_del, n_ins, n_skipped
+    return counts
+
+
+class _BackfillGen:
+    """``Replayer.backfill``'s rows: live rows whose ``doc_id`` is its own
+    canonical key → ``transform`` → one perfect-score update each
+    (payload columns the transform leaves out keep their value). Counts:
+    (n_events, n_skipped)."""
+
+    def __init__(self, transform):
+        self.transform = transform
+
+    def __call__(self, rows: pa.Table, part: int):
+        from marc_data_migration_ray.functions.keys import normalize_keys
+
+        rows = rows.select(["doc_id", "tokens", "n_tok", "source"])
+        canon = pc.equal(
+            pc.fill_null(normalize_keys(rows["doc_id"]), ""), rows["doc_id"]
+        )
+        eligible = rows.filter(canon)
+        new = self.transform(eligible)
+        if new.num_rows != eligible.num_rows or "doc_id" not in new.column_names:
+            raise ValueError("backfill transform must return one row per input "
+                             "row and keep doc_id")
+        out = pa.table({c: new[c] if c in new.column_names else eligible[c]
+                        for c in eligible.column_names})
+        return _gen_rows("update", out), (
+            new.num_rows, rows.num_rows - eligible.num_rows)
+
+
+class _LocalIdGen:
+    """Shared by the generators that address existing rows: which
+    local-id-format keys a generated event must skip."""
+
+    def __init__(self, ceiling_lsn: int, local_prefix: str, P: int):
+        self.ceiling_lsn = ceiling_lsn
+        self.local_prefix = local_prefix
+        self.P = P
+
+    def _skip_local(self, doc_ids, last_lsn, matched=None) -> pa.Array:
+        """A matched local id whose lineage lsn is above the compaction
+        ceiling was allocated after the floor and is not yet materialized
+        as an anchor (an update or tombstone addressing it folds to
+        nothing); an unmatched one (``matched`` False) would squat the
+        allocator's namespace (SEMANTICS "Local-id addressability")."""
+        from marc_data_migration_ray.functions.keys import local_id_parts
+
+        lk, _ = local_id_parts(doc_ids, self.local_prefix, self.P)
+        unmat = pc.greater(pc.fill_null(last_lsn, -1), self.ceiling_lsn)
+        if matched is not None:
+            unmat = pc.if_else(matched, unmat, pa.scalar(True))
+        return pc.fill_null(pc.and_(pc.is_valid(lk), unmat), False)
+
+
+class _DeleteWhereGen(_LocalIdGen):
+    """``Replayer.delete_where``'s rows: one tombstone (score 0) per live
+    row matching ``predicate``, skipping unmaterialized local ids.
+    Counts: (n_events, n_skipped_unmaterialized)."""
+
+    def __init__(self, predicate, ceiling_lsn: int, local_prefix: str, P: int):
+        super().__init__(ceiling_lsn, local_prefix, P)
+        self.predicate = predicate
+
+    def __call__(self, rows: pa.Table, part: int):
+        sel = self.predicate(rows)
+        if isinstance(sel, pa.ChunkedArray):
+            sel = sel.combine_chunks()
+        if not isinstance(sel, pa.Array):
+            sel = pa.array(sel, pa.bool_())
+        if len(sel) != rows.num_rows:
+            raise ValueError("delete_where predicate must return one boolean "
+                             "per input row")
+        matched = rows.filter(pc.fill_null(sel, False))
+        skip = self._skip_local(matched["doc_id"], matched["last_lsn"])
+        emit = matched.filter(pc.invert(skip))
+        return _gen_rows("delete", emit, score=0), (
+            emit.num_rows, matched.num_rows - emit.num_rows)
+
+
+class _MergeGen(_LocalIdGen):
+    """``Replayer.merge``'s rows: the partition's routed source rows whose
+    key is live in its state become updates (or tombstones), the rest
+    inserts; local-id-format keys that are matched-but-unmaterialized or
+    unmatched are skipped. More than one source row per key raises.
+    Counts: (n_updated, n_deleted, n_inserted, n_skipped_local)."""
+
+    def __init__(self, src_by_part: dict[int, list[str]],
+                 when_matched: str | None, when_not_matched: str | None,
+                 column_mask: list[str] | None, ceiling_lsn: int,
+                 local_prefix: str, P: int):
+        super().__init__(ceiling_lsn, local_prefix, P)
+        self.src_by_part = src_by_part
+        self.when_matched = when_matched
+        self.when_not_matched = when_not_matched
+        self.column_mask = column_mask
+
+    def __call__(self, rows: pa.Table, part: int):
+        src = pa.concat_tables(
+            [pq.read_table(f, columns=["doc_id", "tokens", "n_tok", "source"])
+             for f in self.src_by_part[part]]
+        ).combine_chunks()
+        n_src = src.num_rows
+        n_keys = pc.count_distinct(src["doc_id"]).as_py()
+        if n_keys != n_src:
+            raise ValueError(
+                f"merge source has {n_src - n_keys} duplicate doc_id(s) in "
+                f"partition {part}: each target row may be matched by at most "
+                "one source row"
+            )
+        pos = pc.index_in(src["doc_id"], value_set=rows["doc_id"].combine_chunks())
+        matched = pc.is_valid(pos)
+        # unmatched rows take a null lsn, which _skip_local never reads
+        taken_lsn = pc.take(rows["last_lsn"], pos)
+        keep = pc.invert(self._skip_local(src["doc_id"], taken_lsn, matched))
+        hit = src.filter(pc.and_(matched, keep))
+        miss = src.filter(pc.and_(pc.invert(matched), keep))
+        segs = []
+        n_upd = n_del = n_ins = 0
+        if self.when_matched == "update" and hit.num_rows:
+            segs.append(_gen_rows("update", hit, mask=self.column_mask))
+            n_upd = hit.num_rows
+        elif self.when_matched == "delete" and hit.num_rows:
+            segs.append(_gen_rows("delete", hit))
+            n_del = hit.num_rows
+        if self.when_not_matched == "insert" and miss.num_rows:
+            segs.append(_gen_rows("insert", miss))
+            n_ins = miss.num_rows
+        body = pa.concat_tables(segs) if segs else src.slice(0, 0)
+        n_skipped = n_src - hit.num_rows - miss.num_rows
+        return body, (n_upd, n_del, n_ins, n_skipped)
 
 
 class Replayer:
@@ -1565,6 +1520,8 @@ class Replayer:
         folded columns."""
         refs = self._fold_part_refs(up_to_epoch, up_to_lsn=up_to_lsn,
                                     payload_cols=payload_cols)
+        if not refs:  # empty table
+            return ray.data.from_arrow(_empty_fold())
         return ray.data.from_arrow_refs(list(refs.values()))
 
     def _fold_layout(
@@ -1643,13 +1600,11 @@ class Replayer:
         base_is_final, base_by_part, delta_by_part = self._fold_layout(
             up_to_epoch, up_to_lsn)
         parts = sorted(set(base_by_part) | set(delta_by_part))
-        if not parts:
-            raise ValueError("nothing to fold: no base and no committed deltas")
         if only_parts is not None:
             S_ = self.cfg.num_salts
             parts = [p for p in parts if (p // S_ if S_ > 1 else p) in only_parts]
-            if not parts:
-                return {}
+        if not parts:  # empty table, or no partition can hold the keys
+            return {}
         offsets = self.manifest.local_id_offsets()
         schema_ops = self._schema_ops_up_to(up_to_epoch, up_to_lsn)
         S = self.cfg.num_salts
@@ -1867,7 +1822,7 @@ class Replayer:
                 *self._postprocess_fns(up_to_epoch, up_to_lsn, columns)]
         refs = self._fold_part_refs(up_to_epoch, up_to_lsn=up_to_lsn, post=post,
                                     payload_cols=payload_cols, **fold_kw)
-        if not refs:  # no partition can hold the keys
+        if not refs:  # empty table, or no partition can hold the keys
             return ray.data.from_arrow(_run_chain(_empty_fold(), post))
         return ray.data.from_arrow_refs(list(refs.values()))
 
@@ -2608,14 +2563,7 @@ class Replayer:
         os.rename(tmp, new_base)
         # record_compaction (CAS-retried) also flips base_is_final_schema
         # and points base_bucketized_path at the new snapshot
-        ceiling = max(
-            [self.manifest.ceiling_lsn()]
-            + [
-                self.manifest.epoch_entry(e).get("max_lsn", -1)
-                for e in self.manifest.committed_epochs()
-                if e <= up_to
-            ]
-        )
+        ceiling = self._max_lsn(up_to)
         self.manifest.record_compaction(
             up_to, new_base, local_counts, metrics_snapshot=snap, ceiling_lsn=ceiling
         )
@@ -2688,15 +2636,9 @@ class Replayer:
                 batch_format="pyarrow"))
         local_counts = dict(this_fold["local_by_part"])
         snap = self._cumulative_metrics_snapshot(this_fold)
+        os.makedirs(tmp, exist_ok=True)  # even when no partition has live rows
         os.rename(tmp, new_base)
-        ceiling = max(
-            [self.manifest.ceiling_lsn()]
-            + [
-                self.manifest.epoch_entry(e).get("max_lsn", -1)
-                for e in self.manifest.committed_epochs()
-                if e <= up_to
-            ]
-        )
+        ceiling = self._max_lsn(up_to)
         self.manifest.record_repartition(
             up_to, new_base, local_counts, snap, ceiling, new_P, new_S
         )
@@ -2836,19 +2778,7 @@ class Replayer:
         if cluster_by is not None:
             info["cluster_by"] = cluster_by
             info["zones"] = zones
-        with open(os.path.join(tmp, "_EXPORT.json"), "w") as f:
-            json.dump(info, f)
-        os.makedirs(os.path.dirname(os.path.abspath(dest)), exist_ok=True)
-        try:
-            os.rename(tmp, dest)
-        except OSError:
-            # concurrent exporter won: keep theirs, discard ours
-            if not os.path.exists(marker):
-                raise
-            shutil.rmtree(tmp, ignore_errors=True)
-            with open(marker) as f:
-                return json.load(f)
-        return info
+        return _publish_export(tmp, dest, info)
 
     def export_changes(self, dest: str, from_epoch: int, to_epoch: int,
                        with_payload: bool = False,
@@ -2887,28 +2817,15 @@ class Replayer:
             counts = write_jsonl_feed(ds, tmp)
         else:
             ds.write_parquet(tmp, partition_cols=["change"])
-            os.makedirs(tmp, exist_ok=True)  # zero-change feeds still publish
-            for d in os.listdir(tmp):
-                if d.startswith("change="):
-                    counts[d.split("=", 1)[1]] = sum(
-                        pq.ParquetFile(p).metadata.num_rows
-                        for p in glob.glob(os.path.join(tmp, d, "*.parquet"))
-                    )
+            for d in glob.glob(os.path.join(tmp, "change=*")):
+                counts[os.path.basename(d).split("=", 1)[1]] = sum(
+                    pq.ParquetFile(p).metadata.num_rows
+                    for p in glob.glob(os.path.join(d, "*.parquet"))
+                )
         info = {"from_epoch": from_epoch, "to_epoch": to_epoch,
                 "n_changes": sum(counts.values()), "counts": counts,
                 "with_payload": bool(with_payload), "format": fmt}
-        with open(os.path.join(tmp, "_EXPORT.json"), "w") as f:
-            json.dump(info, f)
-        os.makedirs(os.path.dirname(os.path.abspath(dest)), exist_ok=True)
-        try:
-            os.rename(tmp, dest)
-        except OSError:
-            if not os.path.exists(marker):
-                raise
-            shutil.rmtree(tmp, ignore_errors=True)
-            with open(marker) as f:
-                return json.load(f)
-        return info
+        return _publish_export(tmp, dest, info)
 
     def backfill(self, transform, epoch: int) -> dict:
         """Full-table column rewrite executed THROUGH the replay path (the
@@ -2927,37 +2844,59 @@ class Replayer:
         re-keying them would re-allocate). LSNs are allocated above every
         committed lsn and the compaction ceiling, unique via
         ``base + row_index * P + partition``; each partition's events are
-        generated and written by its own Ray task (no driver
-        materialization)."""
+        generated and written by its own Ray task (``_apply_generated``,
+        no driver materialization)."""
         if self.manifest.is_committed(epoch):
             return self.manifest.epoch_entry(epoch)
-        base_lsn = max(
+        entry, stats = self._apply_generated(epoch, "backfill",
+                                             _BackfillGen(transform))
+        return {**entry, "backfill_events": sum(s[0] for s in stats),
+                "backfill_skipped_local": sum(s[1] for s in stats)}
+
+    def _max_lsn(self, up_to: int | None = None) -> int:
+        """Highest committed lsn (of epochs <= ``up_to``), floored at the
+        compaction ceiling: the next generated epoch's lsns start above
+        it, and a compaction/repartition through ``up_to`` records it as
+        the new ceiling."""
+        return max(
             [self.manifest.ceiling_lsn()]
             + [self.manifest.epoch_entry(e).get("max_lsn", -1)
-               for e in self.manifest.committed_epochs()]
-        ) + 1
-        refs = self._fold_part_refs(None)
+               for e in self.manifest.committed_epochs()
+               if up_to is None or e <= up_to]
+        )
+
+    def _apply_generated(self, epoch: int, name: str, gen,
+                         parts=None) -> tuple[dict, list]:
+        """Commit one engine-generated epoch (``backfill``, ``delete_where``,
+        ``merge``): fold the current state, run ``gen`` in one
+        ``_generate_part_task`` per partition (``parts``, default every
+        folded one; a partition with no state folds as empty), then
+        ``apply_epoch`` the minted binlog dir. The dir is removed even when
+        a step raises. Returns (entry, per-partition counts)."""
+        base_lsn = self._max_lsn() + 1
         # lsn stride: the LOGICAL partition count, not len(refs) — refs
         # can be sparse (empty hash buckets), and a stride smaller than
         # max(part)+1 would let two partitions mint the same lsn
         P = max(self.cfg.num_partitions, 1)
         tmp_dir = os.path.join(self.root, "_tmp",
-                               f"backfill-{epoch}-{uuid.uuid4().hex[:8]}")
-        os.makedirs(tmp_dir, exist_ok=True)
-        tasks = [
-            _backfill_part_task.remote(
-                ref, transform, p, P, base_lsn, epoch,
-                os.path.join(tmp_dir, f"part-{p:05d}.parquet"),
-            )
-            for p, ref in sorted(refs.items())
-        ]
-        stats = ray.get(tasks)
-        n_events = sum(s[0] for s in stats)
-        n_skipped = sum(s[1] for s in stats)
-        entry = self.apply_epoch(epoch, tmp_dir)
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        return {**entry, "backfill_events": n_events,
-                "backfill_skipped_local": n_skipped}
+                               f"{name}-{epoch}-{uuid.uuid4().hex[:8]}")
+        try:
+            refs = self._fold_part_refs(None)
+            empty = None
+            tasks = []
+            for p in sorted(refs if parts is None else parts):
+                ref = refs.get(p)
+                if ref is None:
+                    if empty is None:
+                        empty = ray.put(_empty_fold())
+                    ref = empty
+                tasks.append(_generate_part_task.remote(
+                    ref, gen, p, P, base_lsn, epoch,
+                    os.path.join(tmp_dir, f"part-{p:05d}.parquet")))
+            counts = ray.get(tasks)
+            return self.apply_epoch(epoch, tmp_dir), counts
+        finally:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
 
     def history(self) -> pa.Table:
         """Table history as an Arrow table (the ``DESCRIBE HISTORY`` /
@@ -3046,35 +2985,12 @@ class Replayer:
                     .to_arrow()["_m"]
                 )
 
-        base_lsn = max(
-            [self.manifest.ceiling_lsn()]
-            + [self.manifest.epoch_entry(e).get("max_lsn", -1)
-               for e in self.manifest.committed_epochs()]
-        ) + 1
-        ceiling = self.manifest.ceiling_lsn()
-        refs = self._fold_part_refs(None)
-        # lsn stride: the LOGICAL partition count, not len(refs) — refs
-        # can be sparse (empty hash buckets), and a stride smaller than
-        # max(part)+1 would let two partitions mint the same lsn
-        P = max(self.cfg.num_partitions, 1)
-        tmp_dir = os.path.join(self.root, "_tmp",
-                               f"delete-{epoch}-{uuid.uuid4().hex[:8]}")
-        os.makedirs(tmp_dir, exist_ok=True)
-        tasks = [
-            _delete_where_part_task.remote(
-                ref, predicate, p, P, base_lsn, epoch, ceiling,
-                self.cfg.local_id_prefix,
-                os.path.join(tmp_dir, f"part-{p:05d}.parquet"),
-            )
-            for p, ref in sorted(refs.items())
-        ]
-        stats = ray.get(tasks)
-        n_events = sum(s[0] for s in stats)
-        n_skipped = sum(s[1] for s in stats)
-        entry = self.apply_epoch(epoch, tmp_dir)
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        return {**entry, "delete_events": n_events,
-                "delete_skipped_unmaterialized": n_skipped}
+        gen = _DeleteWhereGen(predicate, self.manifest.ceiling_lsn(),
+                              self.cfg.local_id_prefix,
+                              max(self.cfg.num_partitions, 1))
+        entry, stats = self._apply_generated(epoch, "delete", gen)
+        return {**entry, "delete_events": sum(s[0] for s in stats),
+                "delete_skipped_unmaterialized": sum(s[1] for s in stats)}
 
     def merge(
         self,
@@ -3149,45 +3065,19 @@ class Replayer:
 
         tmp_src = os.path.join(self.root, "_tmp",
                                f"merge-src-{epoch}-{uuid.uuid4().hex[:8]}")
-        write_parquet_partitioned(ds.map_batches(
-            _route, batch_format="pyarrow", zero_copy_batch=True
-        ), tmp_src, ["part_p"], row_group_size=_ROW_GROUP_SIZE,
-        expected_partitions=self.cfg.num_partitions * self.cfg.num_salts)
-        src_by_part = self._files_by_part(tmp_src)
-        base_lsn = max(
-            [self.manifest.ceiling_lsn()]
-            + [self.manifest.epoch_entry(e).get("max_lsn", -1)
-               for e in self.manifest.committed_epochs()]
-        ) + 1
-        ceiling = self.manifest.ceiling_lsn()
-        refs = self._fold_part_refs(None) if (
-            self.manifest.committed_epochs()
-            or self.manifest.state.get("base_path")
-            or self.manifest.state.get("compactions")
-        ) else {}
-        tmp_dir = os.path.join(self.root, "_tmp",
-                               f"merge-{epoch}-{uuid.uuid4().hex[:8]}")
-        os.makedirs(tmp_dir, exist_ok=True)
-        empty = None
-        tasks = []
-        for p, files in sorted(src_by_part.items()):
-            ref = refs.get(p)
-            if ref is None:
-                if empty is None:
-                    empty = ray.put(_empty_fold())
-                ref = empty
-            tasks.append(
-                _merge_source_part_task.remote(
-                    ref, files, p, P, base_lsn, epoch, ceiling,
-                    self.cfg.local_id_prefix, when_matched, when_not_matched,
-                    column_mask,
-                    os.path.join(tmp_dir, f"part-{p:05d}.parquet"),
-                )
-            )
-        stats = ray.get(tasks)
-        shutil.rmtree(tmp_src, ignore_errors=True)
-        entry = self.apply_epoch(epoch, tmp_dir)
-        shutil.rmtree(tmp_dir, ignore_errors=True)
+        try:
+            write_parquet_partitioned(ds.map_batches(
+                _route, batch_format="pyarrow", zero_copy_batch=True
+            ), tmp_src, ["part_p"], row_group_size=_ROW_GROUP_SIZE,
+            expected_partitions=self.cfg.num_partitions * self.cfg.num_salts)
+            src_by_part = self._files_by_part(tmp_src)
+            gen = _MergeGen(src_by_part, when_matched, when_not_matched,
+                            column_mask, self.manifest.ceiling_lsn(),
+                            self.cfg.local_id_prefix, P)
+            entry, stats = self._apply_generated(epoch, "merge", gen,
+                                                 parts=src_by_part)
+        finally:
+            shutil.rmtree(tmp_src, ignore_errors=True)
         return {
             **entry,
             "merge_updated": sum(s[0] for s in stats),
@@ -3957,6 +3847,28 @@ class Replayer:
             shutil.rmtree(t)
 
 
+def _publish_export(tmp: str, dest: str, info: dict) -> dict:
+    """Publish an export written to ``tmp``: write its ``_EXPORT.json``
+    marker and rename ``tmp`` to ``dest`` in one step. ``tmp`` is created
+    here, since a zero-row partitioned write creates no directory. When a
+    concurrent exporter renamed first, ours is discarded and the winner's
+    marker returned."""
+    os.makedirs(tmp, exist_ok=True)
+    with open(os.path.join(tmp, "_EXPORT.json"), "w") as f:
+        json.dump(info, f)
+    os.makedirs(os.path.dirname(os.path.abspath(dest)), exist_ok=True)
+    marker = os.path.join(dest, "_EXPORT.json")
+    try:
+        os.rename(tmp, dest)
+    except OSError:
+        if not os.path.exists(marker):
+            raise
+        shutil.rmtree(tmp, ignore_errors=True)
+        with open(marker) as f:
+            return json.load(f)
+    return info
+
+
 def _empty_like_export(dest: str, fallback_cols) -> pa.Table:
     """Zero-row table with the export's REAL schema (read from any data
     file), so a fully-pruned scan still yields every column a consumer
@@ -4208,19 +4120,7 @@ def export_snapshot_zorder(
         "zones": zones,
         "n_rows": total,
     }
-    os.makedirs(tmp, exist_ok=True)
-    with open(os.path.join(tmp, "_EXPORT.json"), "w") as f:
-        json.dump(info, f)
-    os.makedirs(os.path.dirname(os.path.abspath(dest)), exist_ok=True)
-    try:
-        os.rename(tmp, dest)
-    except OSError:
-        if not os.path.exists(marker):
-            raise
-        shutil.rmtree(tmp, ignore_errors=True)
-        with open(marker) as f:
-            return json.load(f)
-    return info
+    return _publish_export(tmp, dest, info)
 
 
 def scan_export_zorder(dest: str, **preds) -> dict:
