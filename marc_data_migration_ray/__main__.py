@@ -11,7 +11,10 @@ Commands:
   vacuum       — reclaim superseded base snapshots / old delta history /
                  old manifest versions (log checkpointing)
   export       — consistent snapshot copy-out (partitioned parquet +
-                 _EXPORT.json lineage manifest; idempotent)
+                 _EXPORT.json lineage manifest; idempotent); --cluster-by
+                 a[,b] writes the clustered layout with per-column zones
+  scan-export  — zone-pruned scan of a clustered export
+                 (--col c:lo:hi, repeatable)
   export-changes — CDC egress: the change feed as parquet + manifest
   rollback     — truncate the log to an epoch (bad-upstream-batch remedy)
   merge        — MERGE INTO through the replay path (upsert-from-table)
@@ -240,8 +243,10 @@ def main(argv=None) -> int:
     ex.add_argument("--dest", required=True)
     ex.add_argument("--up-to-epoch", type=int, default=None, dest="up_to_epoch")
     ex.add_argument("--cluster-by", default=None, dest="cluster_by",
-                    help="int column: write a range-clustered layout with "
-                         "exact zone maps (data skipping via scan-export)")
+                    help="one or two comma-separated int columns: write a "
+                         "clustered (Z-order for two) layout with exact "
+                         "per-column zone maps (data skipping via "
+                         "scan-export)")
     ex.add_argument("--n-ranges", type=int, default=8, dest="n_ranges")
     _add_cfg_args(ex)
 
@@ -268,12 +273,13 @@ def main(argv=None) -> int:
 
     sx = sub.add_parser(
         "scan-export",
-        help="zone-map-pruned scan of a range-clustered export "
-             "(directories whose zone can't match [--lo, --hi] are skipped)",
+        help="zone-map-pruned scan of a clustered export (directories "
+             "whose zone can't match every --col bound are skipped)",
     )
     sx.add_argument("--dest", required=True)
-    sx.add_argument("--lo", type=int, default=None)
-    sx.add_argument("--hi", type=int, default=None)
+    sx.add_argument("--col", action="append", default=[],
+                    help="predicate col:lo:hi (empty lo/hi = unbounded); "
+                         "repeatable")
     sx.add_argument("--limit", type=int, default=5)
 
     exc = sub.add_parser(
@@ -307,29 +313,6 @@ def main(argv=None) -> int:
                     dest="feed_format",
                     help="feed encoding (match the export-changes --format)")
     _add_cfg_args(af)
-
-    ez = sub.add_parser(
-        "export-zorder",
-        help="Z-order (2-D Morton) clustered export with exact per-column "
-             "zone maps (OPTIMIZE ZORDER analog)",
-    )
-    ez.add_argument("--table", required=True)
-    ez.add_argument("--dest", required=True)
-    ez.add_argument("--cols", default="n_tok,last_lsn",
-                    help="two int columns, comma-separated")
-    ez.add_argument("--n-ranges", type=int, default=16, dest="n_ranges")
-    ez.add_argument("--up-to-epoch", type=int, default=None, dest="up_to_epoch")
-    _add_cfg_args(ez)
-
-    sz = sub.add_parser(
-        "scan-zorder",
-        help="zone-pruned scan of a Z-ordered export; prints match count "
-             "+ pruning stats",
-    )
-    sz.add_argument("--dest", required=True)
-    sz.add_argument("--col", action="append", default=[],
-                    help="predicate col:lo:hi (empty lo/hi = unbounded); "
-                         "repeatable")
 
     cl = sub.add_parser(
         "clone",
@@ -770,22 +753,14 @@ def main(argv=None) -> int:
                 print(json.dumps(res))
             return 0
 
-        if args.cmd == "scan-zorder":
-            from marc_data_migration_ray.pipelines.replay import scan_export_zorder
+        if args.cmd == "scan-export":
+            from marc_data_migration_ray.pipelines.replay import scan_export
 
             preds = {}
             for spec in args.col:
                 c, lo, hi = (spec.split(":") + ["", ""])[:3]
                 preds[c] = (int(lo) if lo else None, int(hi) if hi else None)
-            scan = scan_export_zorder(args.dest, **preds)
-            ds = scan.pop("dataset")
-            print(json.dumps({**scan, "rows": ds.count()}))
-            return 0
-
-        if args.cmd == "scan-export":
-            from marc_data_migration_ray.pipelines.replay import scan_export
-
-            scan = scan_export(args.dest, lo=args.lo, hi=args.hi)
+            scan = scan_export(args.dest, **preds)
             ds = scan.pop("dataset")
             for r in ds.take(args.limit):
                 r = dict(r)
@@ -880,25 +855,14 @@ def main(argv=None) -> int:
                 "num_salts": rp.cfg.num_salts,
             }))
         elif args.cmd == "export":
+            cols = tuple(args.cluster_by.split(",")) if args.cluster_by else None
             info = rp.export_snapshot(args.dest, up_to_epoch=args.up_to_epoch,
-                                      cluster_by=args.cluster_by,
-                                      n_ranges=args.n_ranges)
+                                      cluster_by=cols, n_ranges=args.n_ranges)
             print(json.dumps(info))
         elif args.cmd == "rollback":
             print(json.dumps(rp.rollback(args.to_epoch)))
         elif args.cmd == "clone":
             print(json.dumps(rp.clone(args.dest)))
-        elif args.cmd == "export-zorder":
-            from marc_data_migration_ray.pipelines.replay import (
-                export_snapshot_zorder,
-            )
-
-            cols = tuple(args.cols.split(","))
-            if len(cols) != 2:
-                raise SystemExit("--cols needs exactly two columns")
-            print(json.dumps(export_snapshot_zorder(
-                rp, args.dest, cols=cols, n_ranges=args.n_ranges,
-                up_to_epoch=args.up_to_epoch)))
         elif args.cmd == "fsck":
             res = rp.fsck(deep=args.deep)
             if args.orphans:

@@ -279,8 +279,8 @@ EXPORT_SCAN_LO, EXPORT_SCAN_HI = 30, 80
 
 
 def export_scan_prune(sf_dir: str) -> ray.data.Dataset:
-    """Data skipping end-to-end on the derived table: replay → range-
-    clustered export by ``n_tok`` (exact zone maps) → zone-pruned scan of
+    """Data skipping end-to-end on the derived table: replay → clustered
+    export by ``n_tok`` (exact zone maps) → zone-pruned scan of
     ``n_tok BETWEEN 30 AND 80``. The oracle is a plain filter over the
     LWW state — equality proves pruning loses nothing, while the skipped
     range dirs are the scale win (a selective predicate at 100 TB opens a
@@ -293,7 +293,7 @@ def export_scan_prune(sf_dir: str) -> ray.data.Dataset:
     rp = _layout_replayer(sf_dir, cfg)
     dest = os.path.join(tempfile.mkdtemp(prefix="cdc_export_"), "clustered")
     rp.export_snapshot(dest, cluster_by="n_tok", n_ranges=8)
-    scan = scan_export(dest, lo=EXPORT_SCAN_LO, hi=EXPORT_SCAN_HI)
+    scan = scan_export(dest, n_tok=(EXPORT_SCAN_LO, EXPORT_SCAN_HI))
     assert scan["ranges_scanned"] < scan["ranges_total"], "no pruning?"
     return _scalar_state(scan["dataset"])
 
@@ -1352,15 +1352,13 @@ def export_scan_prune_2d(sf_dir: str) -> ray.data.Dataset:
     for predicates on the other column."""
     import tempfile
 
-    from marc_data_migration_ray.pipelines.replay import (
-        export_snapshot_zorder, scan_export_zorder,
-    )
+    from marc_data_migration_ray.pipelines.replay import scan_export
 
     cfg = ReplayConfig(num_partitions=16)
     rp = _layout_replayer(sf_dir, cfg)
     dest = os.path.join(tempfile.mkdtemp(prefix="cdc_zexport_"), "zordered")
-    export_snapshot_zorder(rp, dest, cols=("n_tok", "last_lsn"), n_ranges=16)
-    scan = scan_export_zorder(
+    rp.export_snapshot(dest, cluster_by=("n_tok", "last_lsn"), n_ranges=16)
+    scan = scan_export(
         dest, n_tok=Z_SCAN_NTOK, last_lsn=(Z_SCAN_LSN_LO, None))
     assert scan["ranges_scanned"] < scan["ranges_total"], "no pruning?"
     return _scalar_state(scan["dataset"])

@@ -39,6 +39,11 @@ Physical plan (SURVEY §4.2) — co-partitioned, shuffle-free merge-on-read:
     is a small picklable ``gen``; ``_gen_rows`` builds the rows), then
     ``apply_epoch`` them like any upstream epoch.
 
+    export_snapshot copies the public state out hash-partitioned, or
+    clustered by one or two int columns through one bounded-bin Z-order
+    path (``_write_clustered``: at most 65536 bins, exact per-range zones
+    per column); ``scan_export`` is the one zone-pruned reader of it.
+
 Scale notes (100 TB): the per-bucket fold is the unit of memory — size
 ``num_partitions`` so one bucket's live rows fit a worker (thousands of
 partitions at cluster scale). Epoch ingest is embarrassingly parallel
@@ -1036,7 +1041,8 @@ def _generate_part_task(
 class _BackfillGen:
     """``Replayer.backfill``'s rows: live rows whose ``doc_id`` is its own
     canonical key → ``transform`` → one perfect-score update each
-    (payload columns the transform leaves out keep their value). Counts:
+    (payload columns the transform leaves out keep their value, except
+    ``n_tok``, which follows new ``tokens`` as their length). Counts:
     (n_events, n_skipped)."""
 
     def __init__(self, transform):
@@ -1054,8 +1060,11 @@ class _BackfillGen:
         if new.num_rows != eligible.num_rows or "doc_id" not in new.column_names:
             raise ValueError("backfill transform must return one row per input "
                              "row and keep doc_id")
-        out = pa.table({c: new[c] if c in new.column_names else eligible[c]
-                        for c in eligible.column_names})
+        out = {c: new[c] if c in new.column_names else eligible[c]
+               for c in eligible.column_names}
+        if "tokens" in new.column_names and "n_tok" not in new.column_names:
+            out["n_tok"] = pc.list_value_length(out["tokens"])
+        out = pa.table(out)
         return _gen_rows("update", out), (
             new.num_rows, rows.num_rows - eligible.num_rows)
 
@@ -2650,7 +2659,7 @@ class Replayer:
         return new_base
 
     def export_snapshot(self, dest: str, up_to_epoch: int | None = None,
-                        cluster_by: str | None = None,
+                        cluster_by: str | tuple[str, ...] | None = None,
                         n_ranges: int = 8) -> dict:
         """Copy-out a consistent point-in-time snapshot of the PUBLIC table
         state (display schema, DDL applied) as hash-partitioned Parquet +
@@ -2666,19 +2675,16 @@ class Replayer:
         renamed; if ``dest`` already holds a complete export its manifest
         is returned untouched (re-running an export job is a no-op).
 
-        ``cluster_by=<int column>`` (e.g. ``"n_tok"``) writes a
-        RANGE-CLUSTERED layout instead (OPTIMIZE ... ZORDER/CLUSTER BY
-        analog, 1-D): rows land in ``dest/range_id=<r>/`` directories by
-        value range, and ``_EXPORT.json`` records one exact zone-map entry
-        (min/max/n_rows/nulls) per range, so ``scan_export`` can skip
-        whole directories for a range predicate. Boundaries come from an
-        EXACT distributed value histogram (per-batch (value,count)
-        partials → one tiny groupby — value-cardinality-bounded, the same
-        scale argument as token_quantiles), split at N/K cumulative
-        counts; equal values never split across ranges, so zones are
-        non-overlapping by construction. NULL cluster values route to
-        range 0 with ``min=max=None`` zone semantics handled by the
-        scanner (a range predicate never matches NULL)."""
+        ``cluster_by`` (one int column such as ``"n_tok"``, or two such as
+        ``("n_tok", "last_lsn")``) writes a CLUSTERED layout instead
+        (OPTIMIZE ... ZORDER BY analog): rows land in
+        ``dest/range_id=<r>/`` directories in value order of one column or
+        Z-order of two, ``cluster_by`` is recorded as a list, and
+        ``_EXPORT.json`` records one exact zone per range
+        (``<col>_min``/``<col>_max`` per column, ``n_rows``, ``nulls``),
+        so ``scan_export`` skips whole directories for a range predicate
+        on any clustered column. ``_write_clustered`` has the bounded-bin
+        split; ``n_ranges`` caps the number of ranges."""
         marker = os.path.join(dest, "_EXPORT.json")
         if os.path.exists(marker):
             with open(marker) as f:
@@ -2693,7 +2699,7 @@ class Replayer:
         P = self.cfg.num_partitions
 
         tmp = dest.rstrip("/") + f".tmp-{uuid.uuid4().hex[:8]}"
-        zones = None
+        clustered = {}
         if cluster_by is None:
             def _with_part(t: pa.Table, P=P) -> pa.Table:
                 return t.append_column(
@@ -2706,61 +2712,9 @@ class Replayer:
                 part, tmp, ["part_p"], row_group_size=_ROW_GROUP_SIZE,
                 expected_partitions=P)
         else:
-            rows = rows.materialize()  # two consumers: histogram + route
-            col = cluster_by
-
-            def _hist(t: pa.Table, col=col) -> pa.Table:
-                g = t.select([col]).group_by(col).aggregate([([], "count_all")])
-                return pa.table({
-                    "v": pc.cast(g[col], pa.int64()),
-                    "c": pc.cast(g["count_all"], pa.int64()),
-                })
-
-            hist: dict = {}
-            n_null = 0
-            for b in rows.map_batches(
-                _hist, batch_format="pyarrow", zero_copy_batch=True
-            ).iter_batches(batch_format="pyarrow"):
-                for v, c in zip(b["v"].to_pylist(), b["c"].to_pylist()):
-                    if v is None:
-                        n_null += c
-                    else:
-                        hist[v] = hist.get(v, 0) + c
-            vals = np.array(sorted(hist), dtype=np.int64)
-            cnts = np.array([hist[v] for v in vals], dtype=np.int64)
-            cum = np.cumsum(cnts)
-            total = int(cum[-1]) if len(cum) else 0
-            k = max(1, min(n_ranges, len(vals)))
-            # boundary = first value whose cumulative count crosses i*N/k;
-            # ranges are value-aligned (equal values never split)
-            targets = (np.arange(1, k) * total) // k
-            bidx = np.unique(np.searchsorted(cum, targets, side="left"))
-            bounds = vals[bidx] if len(vals) else np.array([], np.int64)
-            edges = np.concatenate([bounds, [np.iinfo(np.int64).max]])
-            rid_of_val = np.searchsorted(bounds, vals, side="left")
-            zones = []
-            for r in range(len(edges)):
-                m = rid_of_val == r
-                zones.append({
-                    "range_id": int(r),
-                    "min": int(vals[m].min()) if m.any() else None,
-                    "max": int(vals[m].max()) if m.any() else None,
-                    "n_rows": int(cnts[m].sum()) + (n_null if r == 0 else 0),
-                    "nulls": n_null if r == 0 else 0,
-                })
-            bounds_ref = ray.put(bounds)
-
-            def _route(t: pa.Table, col=col) -> pa.Table:
-                bs = ray.get(bounds_ref)
-                v = pc.fill_null(
-                    pc.cast(t[col], pa.int64()), np.iinfo(np.int64).min
-                ).to_numpy(zero_copy_only=False)
-                rid = np.searchsorted(bs, v, side="left")
-                return t.append_column("range_id", pa.array(rid.astype(np.int32)))
-
-            write_parquet_partitioned(rows.map_batches(
-                _route, batch_format="pyarrow", zero_copy_batch=True
-            ), tmp, ["range_id"], row_group_size=_ROW_GROUP_SIZE)
+            cols = [cluster_by] if isinstance(cluster_by, str) else list(cluster_by)
+            clustered = {"cluster_by": cols,
+                         "zones": _write_clustered(rows, tmp, cols, n_ranges)}
         ops = self._schema_ops_up_to(up_to)
         schema, _renames, _added = self.manifest.resolve_schema(_DISPLAY_COLS, ops)
         n_rows = sum(
@@ -2774,10 +2728,8 @@ class Replayer:
             "schema": schema,
             "num_partitions": P,
             "n_rows": n_rows,
+            **clustered,
         }
-        if cluster_by is not None:
-            info["cluster_by"] = cluster_by
-            info["zones"] = zones
         return _publish_export(tmp, dest, info)
 
     def export_changes(self, dest: str, from_epoch: int, to_epoch: int,
@@ -2816,7 +2768,7 @@ class Replayer:
 
             counts = write_jsonl_feed(ds, tmp)
         else:
-            ds.write_parquet(tmp, partition_cols=["change"])
+            write_parquet_partitioned(ds, tmp, ["change"])
             for d in glob.glob(os.path.join(tmp, "change=*")):
                 counts[os.path.basename(d).split("=", 1)[1]] = sum(
                     pq.ParquetFile(p).metadata.num_rows
@@ -2845,7 +2797,8 @@ class Replayer:
         committed lsn and the compaction ceiling, unique via
         ``base + row_index * P + partition``; each partition's events are
         generated and written by its own Ray task (``_apply_generated``,
-        no driver materialization)."""
+        no driver materialization). A transform that returns ``tokens``
+        without ``n_tok`` gets ``n_tok`` = the new token count."""
         if self.manifest.is_committed(epoch):
             return self.manifest.epoch_entry(epoch)
         entry, stats = self._apply_generated(epoch, "backfill",
@@ -3880,273 +3833,42 @@ def _empty_like_export(dest: str, fallback_cols) -> pa.Table:
     return pa.table({c: pa.array([], pa.int64()) for c in fallback_cols})
 
 
-def scan_export(dest: str, lo: int | None = None, hi: int | None = None) -> dict:
-    """Zone-map-pruned scan of a range-clustered export
-    (``export_snapshot(..., cluster_by=col)``): the consumer-side data-
-    skipping read. Directories whose zone ``[min, max]`` cannot intersect
-    ``[lo, hi]`` are never opened — at 100 TB a selective range predicate
-    touches a handful of range dirs instead of the whole table. Surviving
-    files are read with the same predicate pushed down as a parquet filter
-    (row-group pruning inside files) AND applied exactly (NULL cluster
-    values never match, matching SQL comparison semantics).
+def scan_export(dest: str, **preds) -> dict:
+    """Zone-pruned scan of a clustered export
+    (``export_snapshot(..., cluster_by=...)``): the consumer-side data-
+    skipping read. ``preds`` maps a clustered column to an ``(lo, hi)``
+    bound (either may be None). A range directory is never opened when
+    ANY bounded column's zone cannot intersect its bound: at 100 TB a
+    selective predicate touches a handful of range dirs instead of the
+    whole table. Survivors are read with the conjunctive predicate pushed
+    down as a parquet filter (row-group pruning inside files) AND applied
+    exactly: a NULL clustered value never matches a bound (SQL comparison
+    semantics), so an all-NULL zone prunes under one, while an unbounded
+    scan returns every row, NULL ones included.
 
     Returns ``{"dataset", "cluster_by", "ranges_scanned", "ranges_total",
-    "rows_skipped"}`` — the skip counts are the no-silent-caps audit trail."""
+    "rows_skipped"}``: the skip counts are the no-silent-caps audit trail."""
     with open(os.path.join(dest, "_EXPORT.json")) as f:
         info = json.load(f)
     if "zones" not in info:
-        raise ValueError(f"{dest} is not a range-clustered export")
-    col = info["cluster_by"]
-    keep, skipped_rows = [], 0
-    bounded = lo is not None or hi is not None
-    for z in info["zones"]:
-        # an all-NULL/empty zone never matches a RANGE PREDICATE (SQL
-        # comparison semantics) — but an unbounded scan must return its
-        # rows (code-review r5: they silently vanished with no predicate
-        # to justify it; scan_export_zorder already keeps all zones when
-        # no predicate is given)
-        empty = bounded and z["min"] is None
-        out = empty or (lo is not None and z["max"] < lo) \
-            or (hi is not None and z["min"] > hi)
-        if out:
-            skipped_rows += z["n_rows"]
-        else:
-            keep.append(z["range_id"])
-    files = []
-    for r in keep:
-        files.extend(sorted(glob.glob(
-            os.path.join(dest, f"range_id={r}", "*.parquet"))))
-    if not files:
-        ds = ray.data.from_arrow(_empty_like_export(dest, [col]))
-    else:
-        import pyarrow.dataset as pads
-        from marc_data_migration_ray.sources import readers
-
-        f_expr = None
-        if lo is not None:
-            f_expr = pads.field(col) >= lo
-        if hi is not None:
-            e = pads.field(col) <= hi
-            f_expr = e if f_expr is None else (f_expr & e)
-        ds = readers.read_parquet(
-            files, **({"filter": f_expr} if f_expr is not None else {})
-        )
-        conds = [c for c, on in
-                 ((f"{col} >= {lo}", lo is not None),
-                  (f"{col} <= {hi}", hi is not None)) if on]
-        if conds:
-            ds = ds.filter(expr=" and ".join(conds))
-    return {
-        "dataset": ds,
-        "cluster_by": col,
-        "ranges_scanned": len(keep),
-        "ranges_total": len(info["zones"]),
-        "rows_skipped": skipped_rows,
-    }
-
-
-# ------------------------------------------------------------- Z-order --
-
-
-def _morton2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """62-bit Morton (Z-order) code of two non-negative int arrays: bits
-    of ``a`` on even positions, ``b`` on odd. Pure numpy bit spreading —
-    the standard magic-mask interleave (public domain folklore; cf.
-    "Bit Twiddling Hacks")."""
-
-    def spread(x: np.ndarray) -> np.ndarray:
-        x = x.astype(np.uint64) & np.uint64((1 << 31) - 1)
-        x = (x | (x << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-        x = (x | (x << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-        x = (x | (x << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        x = (x | (x << np.uint64(2))) & np.uint64(0x3333333333333333)
-        x = (x | (x << np.uint64(1))) & np.uint64(0x5555555555555555)
-        return x
-
-    return spread(a) | (spread(b) << np.uint64(1))
-
-
-_Z_COARSE_BITS = 16  # keep the top 16 OCCUPIED Morton bits -> <= 65536 bins
-
-
-def export_snapshot_zorder(
-    rp: "Replayer",
-    dest: str,
-    cols: tuple[str, str] = ("n_tok", "last_lsn"),
-    n_ranges: int = 16,
-    up_to_epoch: int | None = None,
-) -> dict:
-    """2-D Z-ORDER clustered export (OPTIMIZE ... ZORDER BY (a, b)
-    analog): rows land in ``dest/range_id=<r>/`` directories ordered by
-    the Morton interleave of the two int columns, and ``_EXPORT.json``
-    records one exact per-range zone map PER COLUMN — so
-    ``scan_export_zorder`` can skip directories for a predicate on
-    EITHER column (the property 1-D range clustering lacks).
-
-    Scale shape: pass 1 = per-batch min partials (offsets make values
-    non-negative for the interleave); pass 2 = per-batch stats grouped by
-    the COARSE Morton bin (top 16 bits → ≤ 65536 bins regardless of row
-    count — the bounded-histogram argument of token_quantiles); driver
-    merges the bins, splits at N/k cumulative counts on bin boundaries
-    (equal bins never split), derives per-range/per-column min/max from
-    the bin stats; route pass broadcasts the bin bounds. NULL in either
-    column routes to range 0 and is counted in the zone's ``nulls`` (a
-    range predicate never matches NULL — SQL semantics — so null rows
-    are always prunable/filtered exactly)."""
-    marker = os.path.join(dest, "_EXPORT.json")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            return json.load(f)
-    a_col, b_col = cols
-    up_to = up_to_epoch if up_to_epoch is not None else (
-        rp.manifest.committed_epochs()[-1]
-        if rp.manifest.committed_epochs() else -1
-    )
-    rows = rp.read_state(up_to).materialize()
-
-    def _minmax(t: pa.Table) -> pa.Table:
-        out = {}
-        for c in (a_col, b_col):
-            v = pc.drop_null(pc.cast(t[c], pa.int64()))
-            has = len(v) > 0
-            out[f"{c}_lo"] = pa.array([pc.min(v).as_py() if has else None], pa.int64())
-            out[f"{c}_hi"] = pa.array([pc.max(v).as_py() if has else None], pa.int64())
-        return pa.table(out)
-
-    lo = {a_col: None, b_col: None}
-    hi = {a_col: None, b_col: None}
-    for b in rows.map_batches(
-        _minmax, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow"):
-        for c in (a_col, b_col):
-            vlo, vhi = b[f"{c}_lo"][0].as_py(), b[f"{c}_hi"][0].as_py()
-            if vlo is not None:
-                lo[c] = vlo if lo[c] is None else min(lo[c], vlo)
-                hi[c] = vhi if hi[c] is None else max(hi[c], vhi)
-    off_a = lo[a_col] or 0
-    off_b = lo[b_col] or 0
-    # adaptive coarse shift: the Morton code occupies 2*max(bit widths)
-    # bits for THIS data; keep its top _Z_COARSE_BITS (<= 65536 bins)
-    span_bits = max(
-        int(hi[a_col] - off_a).bit_length() if hi[a_col] is not None else 1,
-        int(hi[b_col] - off_b).bit_length() if hi[b_col] is not None else 1,
-        1,
-    )
-    shift = max(0, 2 * span_bits - _Z_COARSE_BITS)
-
-    def _bin_of(t: pa.Table) -> np.ndarray:
-        av = pc.fill_null(pc.cast(t[a_col], pa.int64()), off_a).to_numpy(
-            zero_copy_only=False) - off_a
-        bv = pc.fill_null(pc.cast(t[b_col], pa.int64()), off_b).to_numpy(
-            zero_copy_only=False) - off_b
-        return (_morton2(np.maximum(av, 0), np.maximum(bv, 0))
-                >> np.uint64(shift)).astype(np.int64)
-
-    def _stats(t: pa.Table) -> pa.Table:
-        a = pc.cast(t[a_col], pa.int64())
-        b = pc.cast(t[b_col], pa.int64())
-        both = pc.cast(
-            pc.and_kleene(pc.is_valid(a), pc.is_valid(b)), pa.int64())
-        g = pa.table({
-            "bin": pa.array(_bin_of(t)), "a": a, "b": b, "both": both,
-        })
-        return g.group_by("bin").aggregate([
-            ("a", "min"), ("a", "max"),
-            ("b", "min"), ("b", "max"),
-            ("both", "sum"), ([], "count_all"),
-        ])
-
-    bins: dict[int, list] = {}
-    for t in rows.map_batches(
-        _stats, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow"):
-        for r in t.to_pylist():
-            e = bins.setdefault(r["bin"], [None, None, None, None, 0, 0])
-            for i, k in ((0, "a_min"), (2, "b_min")):
-                if r[k] is not None:
-                    e[i] = r[k] if e[i] is None else min(e[i], r[k])
-            for i, k in ((1, "a_max"), (3, "b_max")):
-                if r[k] is not None:
-                    e[i] = r[k] if e[i] is None else max(e[i], r[k])
-            e[4] += r["count_all"]
-            # rows with NULL in EITHER column (exact: total - both-valid)
-            e[5] += r["count_all"] - (r["both_sum"] or 0)
-
-    order = np.array(sorted(bins), np.int64)
-    cnts = np.array([bins[x][4] for x in order], np.int64)
-    cum = np.cumsum(cnts)
-    total = int(cum[-1]) if len(cum) else 0
-    k = max(1, min(n_ranges, len(order)))
-    targets = (np.arange(1, k) * total) // k
-    bidx = np.unique(np.searchsorted(cum, targets, side="left"))
-    bounds = order[bidx] if len(order) else np.array([], np.int64)
-    rid_of_bin = np.searchsorted(bounds, order, side="left")
-    zones = []
-    for r in range(len(bounds) + 1):
-        sel = [x for x, rid in zip(order, rid_of_bin) if rid == r]
-        amin = amax = bmin = bmax = None
-        n = nulls = 0
-        for x in sel:
-            e = bins[x]
-            if e[0] is not None:
-                amin = e[0] if amin is None else min(amin, e[0])
-                amax = e[1] if amax is None else max(amax, e[1])
-            if e[2] is not None:
-                bmin = e[2] if bmin is None else min(bmin, e[2])
-                bmax = e[3] if bmax is None else max(bmax, e[3])
-            n += e[4]
-            nulls += e[5]
-        zones.append({
-            "range_id": int(r),
-            f"{a_col}_min": amin, f"{a_col}_max": amax,
-            f"{b_col}_min": bmin, f"{b_col}_max": bmax,
-            "n_rows": int(n), "nulls": int(nulls),
-        })
-    bounds_ref = ray.put(bounds)
-
-    def _route(t: pa.Table) -> pa.Table:
-        bs = ray.get(bounds_ref)
-        rid = np.searchsorted(bs, _bin_of(t), side="left")
-        return t.append_column("range_id", pa.array(rid.astype(np.int32)))
-
-    tmp = dest.rstrip("/") + f".tmp-{uuid.uuid4().hex[:8]}"
-    write_parquet_partitioned(rows.map_batches(
-        _route, batch_format="pyarrow", zero_copy_batch=True
-    ), tmp, ["range_id"], row_group_size=_ROW_GROUP_SIZE)
-    info = {
-        "up_to_epoch": up_to,
-        "cluster_by": list(cols),
-        "zorder": True,
-        "zones": zones,
-        "n_rows": total,
-    }
-    return _publish_export(tmp, dest, info)
-
-
-def scan_export_zorder(dest: str, **preds) -> dict:
-    """Zone-pruned scan of a Z-ordered export: ``preds`` maps a clustered
-    column to an ``(lo, hi)`` bound (either may be None). A directory is
-    skipped when ANY predicated column's zone cannot intersect its bound
-    (rows with NULL in a predicated column never match, so null rows
-    prune away with their range). Survivors are read with the conjunctive
-    predicate pushed into the parquet scan and applied exactly."""
-    with open(os.path.join(dest, "_EXPORT.json")) as f:
-        info = json.load(f)
-    if not info.get("zorder"):
-        raise ValueError(f"{dest} is not a Z-ordered export")
+        raise ValueError(f"{dest} is not a clustered export")
     cols = info["cluster_by"]
+    if isinstance(cols, str) or any(
+            f"{c}_min" not in z for z in info["zones"] for c in cols):
+        raise ValueError(
+            f"{dest} has no per-column zone keys (an older clustered-export "
+            f"format); re-export it with export_snapshot(cluster_by=...)")
     for c in preds:
         if c not in cols:
             raise ValueError(f"{c} is not a clustered column of {dest}")
+    bounds = [(c, op, v) for c, (lo, hi) in preds.items()
+              for op, v in ((">=", lo), ("<=", hi)) if v is not None]
+    bounded = {c for c, _, _ in bounds}
     keep, skipped_rows = [], 0
     for z in info["zones"]:
-        out = False
-        for c, (lo, hi) in preds.items():
-            zmin, zmax = z[f"{c}_min"], z[f"{c}_max"]
-            if zmin is None or (lo is not None and zmax < lo) \
-                    or (hi is not None and zmin > hi):
-                out = True
-                break
+        out = any(z[f"{c}_min"] is None for c in bounded) or any(
+            z[f"{c}_max"] < v if op == ">=" else z[f"{c}_min"] > v
+            for c, op, v in bounds)
         if out:
             skipped_rows += z["n_rows"]
         else:
@@ -4155,29 +3877,21 @@ def scan_export_zorder(dest: str, **preds) -> dict:
     for r in keep:
         files.extend(sorted(glob.glob(
             os.path.join(dest, f"range_id={r}", "*.parquet"))))
+    from marc_data_migration_ray.sources import readers
+
     if not files:
         ds = ray.data.from_arrow(_empty_like_export(dest, cols))
+    elif not bounds:
+        ds = readers.read_parquet(files)
     else:
         import pyarrow.dataset as pads
 
-        from marc_data_migration_ray.sources import readers
-
         f_expr = None
-        for c, (lo, hi) in preds.items():
-            for e in ([pads.field(c) >= lo] if lo is not None else []) + \
-                     ([pads.field(c) <= hi] if hi is not None else []):
-                f_expr = e if f_expr is None else (f_expr & e)
-        ds = readers.read_parquet(
-            files, **({"filter": f_expr} if f_expr is not None else {})
-        )
-        conds = []
-        for c, (lo, hi) in preds.items():
-            if lo is not None:
-                conds.append(f"{c} >= {lo}")
-            if hi is not None:
-                conds.append(f"{c} <= {hi}")
-        if conds:
-            ds = ds.filter(expr=" and ".join(conds))
+        for c, op, v in bounds:
+            e = pads.field(c) >= v if op == ">=" else pads.field(c) <= v
+            f_expr = e if f_expr is None else (f_expr & e)
+        ds = readers.read_parquet(files, filter=f_expr).filter(
+            expr=" and ".join(f"{c} {op} {v}" for c, op, v in bounds))
     return {
         "dataset": ds,
         "cluster_by": cols,
@@ -4185,3 +3899,142 @@ def scan_export_zorder(dest: str, **preds) -> dict:
         "ranges_total": len(info["zones"]),
         "rows_skipped": skipped_rows,
     }
+
+
+# ------------------------------------------------------ clustered export --
+
+
+#: keep the top 16 occupied bits of the bin code -> <= 65536 bins
+_CLUSTER_BITS = 16
+
+
+def _spread_bits(x: np.ndarray) -> np.ndarray:
+    """Spread the low 32 bits of ``x`` onto the even bit positions, the
+    half of a Morton (Z-order) interleave: the standard magic-mask bit
+    spreading (public domain folklore; cf. "Bit Twiddling Hacks")."""
+    x = x.astype(np.uint64) & np.uint64(0xFFFFFFFF)
+    x = (x | (x << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    x = (x | (x << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    x = (x | (x << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = (x | (x << np.uint64(2))) & np.uint64(0x3333333333333333)
+    x = (x | (x << np.uint64(1))) & np.uint64(0x5555555555555555)
+    return x
+
+
+def _cluster_bins(t: pa.Table, cols, offs, shift: int) -> np.ndarray:
+    """Each row's bin code: its offset value shifted right by ``shift``
+    for one column, the Morton interleave of the shifted offset values for
+    two. A NULL counts as the column's minimum (offset value 0)."""
+    vs = [
+        (pc.fill_null(pc.cast(t[c], pa.int64()), off)
+         .to_numpy(zero_copy_only=False) - off).view(np.uint64)
+        >> np.uint64(shift)
+        for c, off in zip(cols, offs)
+    ]
+    code = vs[0] if len(vs) == 1 else (
+        _spread_bits(vs[0]) | (_spread_bits(vs[1]) << np.uint64(1)))
+    return code.astype(np.int64)
+
+
+def _merge_bin_stats(t: pa.Table, cols) -> pa.Table:
+    """Merge per-bin stat rows that share a bin (the driver-side reduce of
+    ``_write_clustered``'s pass 2)."""
+    aggs = [(f"{c}_{k}", k) for c in cols for k in ("min", "max")]
+    aggs += [("nulls", "sum"), ("n_rows", "sum")]
+    g = t.group_by("bin").aggregate(aggs)
+    return pa.table({"bin": g["bin"], **{n: g[f"{n}_{k}"] for n, k in aggs}})
+
+
+def _write_clustered(rows: ray.data.Dataset, tmp: str, cols: list[str],
+                     n_ranges: int) -> list[dict]:
+    """Write ``rows`` under ``tmp/range_id=<r>/``, clustered by one or two
+    int columns, and return one zone per range: ``<col>_min``/``<col>_max``
+    per column (NULLs left out), ``n_rows``, and ``nulls`` (rows with a
+    NULL in any clustered column). Three passes over the materialized rows:
+
+    1. per-batch min/max: per-column offsets, and one coarse shift that
+       keeps the top ``_CLUSTER_BITS`` occupied bits of the bin code, so
+       there are at most 65536 bins whatever the row count or value span;
+    2. per-batch, per-bin stats, merged on the driver; the ranges split
+       at ``N / n_ranges`` cumulative counts on bin boundaries (a bin never
+       splits across ranges);
+    3. route each row to its bin's range and ``write_parquet_partitioned``.
+
+    For one column the bin code is the offset value itself, so a span
+    under 2^16 splits per value, equal values never split and zones never
+    overlap. For two it is the Morton (Z-order) interleave, so the layout
+    prunes for a predicate on either column. NULL rows land with the
+    column's minimum (range 0 for one column)."""
+    if len(cols) not in (1, 2):
+        raise ValueError(f"cluster_by takes one or two columns, got {cols}")
+    rows = rows.materialize()  # three consumers
+
+    def _minmax(t: pa.Table) -> pa.Table:
+        out = {}
+        for c in cols:
+            mm = pc.min_max(pc.cast(t[c], pa.int64()))
+            out[f"{c}_min"] = pa.array([mm["min"].as_py()], pa.int64())
+            out[f"{c}_max"] = pa.array([mm["max"].as_py()], pa.int64())
+        return pa.table(out)
+
+    empty = pa.table({c: pa.array([], pa.int64()) for c in cols})
+    mm = pa.concat_tables([_minmax(empty), *rows.map_batches(
+        _minmax, batch_format="pyarrow", zero_copy_batch=True
+    ).iter_batches(batch_format="pyarrow", batch_size=None)])
+    offs, span_bits = [], 1
+    for c in cols:
+        lo, hi = pc.min(mm[f"{c}_min"]).as_py(), pc.max(mm[f"{c}_max"]).as_py()
+        offs.append(lo or 0)
+        if lo is not None:
+            span_bits = max(span_bits, (hi - lo).bit_length())
+    shift = max(0, span_bits - _CLUSTER_BITS // len(cols))
+
+    def _stats(t: pa.Table) -> pa.Table:
+        vals = {c: pc.cast(t[c], pa.int64()) for c in cols}
+        any_null = pc.is_null(vals[cols[0]])
+        for c in cols[1:]:
+            any_null = pc.or_(any_null, pc.is_null(vals[c]))
+        g = pa.table({
+            "bin": pa.array(_cluster_bins(t, cols, offs, shift)),
+            **{f"{c}_min": v for c, v in vals.items()},
+            **{f"{c}_max": v for c, v in vals.items()},
+            "nulls": pc.cast(any_null, pa.int64()),
+            "n_rows": pa.array(np.ones(t.num_rows, np.int64)),
+        })
+        return _merge_bin_stats(g, cols)
+
+    acc = _stats(empty)
+    for b in rows.map_batches(
+        _stats, batch_format="pyarrow", zero_copy_batch=True
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
+        acc = pa.concat_tables([acc, b])
+        if acc.num_rows > 4 << _CLUSTER_BITS:  # keep the driver bounded
+            acc = _merge_bin_stats(acc, cols)
+    bins = _merge_bin_stats(acc, cols).sort_by("bin")
+    ids = bins["bin"].to_numpy()
+    cum = np.cumsum(bins["n_rows"].to_numpy())
+    total = int(cum[-1]) if len(cum) else 0
+    k = max(1, min(n_ranges, len(ids)))
+    # boundary = the bin whose cumulative count first reaches i*N/k; it is
+    # the last bin of its range
+    targets = (np.arange(1, k) * total) // k
+    edges = ids[np.unique(np.searchsorted(cum, targets, side="left"))]
+    zones = [{"range_id": r, **{f"{c}_{m}": None for c in cols
+                                for m in ("min", "max")},
+              "n_rows": 0, "nulls": 0} for r in range(len(edges) + 1)]
+    rid = np.searchsorted(edges, ids, side="left")
+    for z in _merge_bin_stats(
+            bins.set_column(0, "bin", pa.array(rid, pa.int64())),
+            cols).to_pylist():
+        zones[z.pop("bin")].update(z)
+    edges_ref = ray.put(edges)
+
+    def _route(t: pa.Table) -> pa.Table:
+        rid = np.searchsorted(ray.get(edges_ref),
+                              _cluster_bins(t, cols, offs, shift), side="left")
+        return t.append_column("range_id", pa.array(rid.astype(np.int32)))
+
+    write_parquet_partitioned(rows.map_batches(
+        _route, batch_format="pyarrow", zero_copy_batch=True
+    ), tmp, ["range_id"], row_group_size=_ROW_GROUP_SIZE)
+    return zones

@@ -196,23 +196,27 @@ def test_failed_generated_epoch_leaves_no_temp(ray_session, fixture_dir,
 
 
 def test_zero_row_table_exports(ray_session, tmp_path):
-    """A table with no live rows publishes an empty export in both layouts."""
+    """A table with no live rows publishes an empty export in every layout:
+    plain, clustered by one column and clustered by two."""
     rp = Replayer(str(tmp_path / "t"), ReplayConfig(num_partitions=4))
     rp.merge(_src(["1000001", "1000002"]), epoch=0)
     rp.delete_where("n_tok > 0", epoch=1)
     plain = rp.export_snapshot(str(tmp_path / "exp"))
     assert plain["n_rows"] == 0
     assert os.path.isfile(str(tmp_path / "exp" / "_EXPORT.json"))
-    clustered = rp.export_snapshot(str(tmp_path / "exp_c"), cluster_by="n_tok")
-    assert clustered["n_rows"] == 0
-    sc = scan_export(str(tmp_path / "exp_c"))
-    assert sc["dataset"].count() == 0
+    clusterings = ["n_tok", ("n_tok", "last_lsn")]
+    for i, by in enumerate(clusterings):
+        clustered = rp.export_snapshot(str(tmp_path / f"exp_c{i}"), cluster_by=by)
+        assert clustered["n_rows"] == 0
+        sc = scan_export(str(tmp_path / f"exp_c{i}"))
+        assert sc["dataset"].count() == 0
     # re-running a published export is a no-op
     assert rp.export_snapshot(str(tmp_path / "exp")) == plain
     # and so does a table compacted down to nothing
     rp.compact()
     assert rp.export_snapshot(str(tmp_path / "exp2"))["n_rows"] == 0
-    info = rp.export_snapshot(str(tmp_path / "exp_c2"), cluster_by="n_tok")
-    assert info["n_rows"] == 0
-    assert scan_export(str(tmp_path / "exp_c2"))["dataset"].count() == 0
+    for i, by in enumerate(clusterings):
+        info = rp.export_snapshot(str(tmp_path / f"exp_d{i}"), cluster_by=by)
+        assert info["n_rows"] == 0
+        assert scan_export(str(tmp_path / f"exp_d{i}"))["dataset"].count() == 0
     assert rp.orphans()["orphans"] == []
