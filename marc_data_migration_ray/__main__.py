@@ -41,9 +41,13 @@ import sys
 
 
 def _ray_session():
+    """(ray module, whether this call started the session). A caller that
+    already runs Ray keeps its session: ``main`` shuts down only one it
+    started."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         ray.init(
             address="local",
             include_dashboard=False,
@@ -53,7 +57,7 @@ def _ray_session():
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    return ray
+    return ray, started
 
 
 def _cfg_from_args(args) -> "ReplayConfig":
@@ -612,7 +616,7 @@ def main(argv=None) -> int:
         print(json.dumps(info))
         return 0
 
-    ray = _ray_session()
+    ray, started = _ray_session()
     try:
         if args.cmd == "modify":
             import ray.data
@@ -1177,7 +1181,8 @@ def main(argv=None) -> int:
                     print(json.dumps(dict(r), default=str))
                 print(json.dumps({"total_changes": ds.count()}))
     finally:
-        ray.shutdown()
+        if started:
+            ray.shutdown()
     return 0
 
 

@@ -31,11 +31,8 @@ import ray.data
 
 from marc_data_migration_ray.config import ReplayConfig
 from marc_data_migration_ray.functions.text import TOKEN_RE
-from marc_data_migration_ray.stages.fold import make_fold_fn
 from marc_data_migration_ray.stages.parse import ParseRoute, PrepBase
 from marc_data_migration_ray.sources import readers
-
-_ROW_COLS = ["doc_id", "tokens", "n_tok", "source", "last_lsn", "status", "candidate_key"]
 
 
 def _doc_count(sf_dir: str) -> int:
@@ -296,29 +293,6 @@ def export_scan_prune(sf_dir: str) -> ray.data.Dataset:
     scan = scan_export(dest, n_tok=(EXPORT_SCAN_LO, EXPORT_SCAN_HI))
     assert scan["ranges_scanned"] < scan["ranges_total"], "no pruning?"
     return _scalar_state(scan["dataset"])
-
-
-def replay_datasets(
-    base_ds: ray.data.Dataset, binlog_ds: ray.data.Dataset, cfg: ReplayConfig
-) -> ray.data.Dataset:
-    """In-memory replay (no manifest): prep → union → partitioned fold → rows.
-
-    The same stages the manifest pipeline uses; for ad-hoc / driver queries.
-    """
-    base = base_ds.map_batches(
-        PrepBase(cfg), batch_format="pyarrow",
-        batch_size=cfg.batch_size, zero_copy_batch=True,
-    )
-    ev = binlog_ds.map_batches(
-        ParseRoute(cfg), batch_format="pyarrow",
-        batch_size=cfg.batch_size, zero_copy_batch=True,
-    )
-    fold = make_fold_fn(cfg)
-    out = base.union(ev).groupby("part_id", num_partitions=cfg.num_partitions).map_groups(fold, batch_format="pyarrow")
-    rows = out.filter(expr="_kind == 'row'")
-    return rows.map_batches(
-        lambda t: t.select(_ROW_COLS), batch_format="pyarrow", zero_copy_batch=True
-    )
 
 
 #: pristine layout tables, built once per (variant, sf_dir, cfg) per
@@ -642,7 +616,7 @@ def cdc_source_counts(sf_dir: str, cfg: ReplayConfig | None = None) -> pa.Table:
 
 
 def cdc_lww_state(
-    sf_dir: str, cfg: ReplayConfig | None = None, via: str = "shuffle"
+    sf_dir: str, cfg: ReplayConfig | None = None
 ) -> ray.data.Dataset:
     """Flagship derived query: gated LWW replay of events onto documents.
 
@@ -650,23 +624,13 @@ def cdc_lww_state(
     so the DuckDB oracle can hash-match (token payloads are checked by the
     fixture/oracle tests instead).
 
-    ``via``: ``"shuffle"`` (default) folds through one in-memory
-    ``groupby(part_id).map_groups`` — optimal for a ONE-SHOT query, where
-    the events must move exactly once either way and no artifact outlives
-    the call. ``via="layout"`` routes through the manifest ``Replayer``
-    (co-partitioned on-disk deltas + per-bucket vectorized fold): pays a
-    delta write, amortized when the caller keeps the table root for
-    repeated folds / incremental epochs — the engine's flagship path.
-    Both produce identical rows (pytest-asserted). The layout path's temp
-    table root stays on disk while the returned (lazy) Dataset reads it."""
-    cfg = cfg or ReplayConfig(num_partitions=16)
-    if via == "layout":
-        rows = _layout_replayer(sf_dir, cfg).read_state()
-    elif via == "shuffle":
-        rows = replay_datasets(build_base_ds(sf_dir), build_binlog_ds(sf_dir), cfg)
-    else:
-        raise ValueError(f"via must be 'shuffle' or 'layout', got {via!r}")
-    return _scalar_state(rows)
+    Reads the manifest ``Replayer`` table that ``_layout_replayer`` builds
+    once per (sf_dir, cfg) — co-partitioned on-disk deltas + per-bucket
+    vectorized fold, the one fold path. The first call pays the table
+    build; the temp table root stays on disk while the returned (lazy)
+    Dataset reads it."""
+    return _scalar_state(_layout_replayer(
+        sf_dir, cfg or ReplayConfig(num_partitions=16)).read_state())
 
 
 def cdc_routing_counts(sf_dir: str, cfg: ReplayConfig | None = None) -> "pa.Table":

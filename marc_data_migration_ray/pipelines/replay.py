@@ -27,8 +27,8 @@ Physical plan (SURVEY §4.2) — co-partitioned, shuffle-free merge-on-read:
     compact() materializes the fold into a new bucketized base snapshot
     (LSM merge of the sorted runs) and advances local-id allocator offsets.
     Each fold task writes its own partition's snapshot file
-    (``_WriteSnapshotRows``) and returns only its metrics/noop rows, so a
-    compaction never shuffles: no Ray Data write, no object-store
+    (``_WriteSnapshotRows``) and returns an empty row table beside its
+    metrics, so a compaction never shuffles: no Ray Data write, no object-store
     transfer of the token payload. Only ingest, base bucketization and
     repartition move rows between partitions through
     ``write_parquet_partitioned``.
@@ -54,12 +54,13 @@ imbalance, which the fnv1a hash keeps small. Raw ``@ray.remote`` tasks are
 used for the per-bucket fold because the Dataset API cannot express
 "coalesce pre-partitioned files into per-partition groups without a
 shuffle" (a bare ``groupby(part_id).map_groups`` re-shuffles data that is
-already partitioned on disk — measured 4-10× slower). For read_state and
-lookup each fold task also keeps its ``_kind == 'row'`` rows and runs the
-postprocess chain (schema evolution, policies, generated columns,
-projection), returning public-schema rows that re-enter the Dataset world
-via ``ray.data.from_arrow_refs`` with no operator on top; FOLD_SCHEMA's
-noop/metrics ``_kind`` rows reach only ``fold_output`` consumers.
+already partitioned on disk — measured 4-10× slower). Each fold task
+returns two refs: its rows (``ROW_SCHEMA``, after the task's ``post``
+chain) and its metrics dict. For read_state and lookup the ``post`` chain
+is the postprocess (schema evolution, policies, generated columns,
+projection), so public-schema rows re-enter the Dataset world via
+``ray.data.from_arrow_refs`` with no operator on top; only
+``fold_metrics``, ``compact`` and ``repartition`` fetch the metrics refs.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ import ray
 import ray.data
 
 from marc_data_migration_ray.config import PAYLOAD_COLUMNS, ReplayConfig
-from marc_data_migration_ray.stages.fold import FOLD_SCHEMA, fold_bucket
+from marc_data_migration_ray.stages.fold import (ROW_SCHEMA, fold_bucket,
+                                                 split_fold)
 from marc_data_migration_ray.stages.parse import PARSED_SCHEMA, ParseRoute, PrepBase
 from marc_data_migration_ray.sources.pwrite import write_parquet_partitioned
 from marc_data_migration_ray.state.manifest import Manifest
@@ -410,10 +412,40 @@ def _merge_counts(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _empty_fold() -> pa.Table:
-    return pa.Table.from_arrays(
-        [pa.nulls(0, f.type) for f in FOLD_SCHEMA], schema=FOLD_SCHEMA
-    )
+def _rows_dataset(refs: dict, post: list | tuple = ()) -> "ray.data.Dataset":
+    """The row refs of ``Replayer._fold_part_refs`` as one Dataset. When no
+    partition folded, an empty row table run through the tasks' ``post``
+    chain stands in, so the schema is what the tasks would return."""
+    if not refs:
+        return ray.data.from_arrow(_run_chain(ROW_SCHEMA.empty_table(), post))
+    return ray.data.from_arrow_refs([rows for rows, _ in refs.values()])
+
+
+def _sum_fold_metrics(metrics, seed: dict | None = None) -> dict:
+    """Sum per-bucket fold metrics dicts. ``seed`` (a prior compaction's
+    cumulative snapshot) pre-loads every counter except ``rows``, which
+    is current-state, not cumulative."""
+    seed = seed or {}
+    agg = {"noop": seed.get("noop", 0), "tombstoned": seed.get("tombstoned", 0),
+           "local": seed.get("local", 0), "rows": 0,
+           "col_replacements": dict(seed.get("col_replacements", {})),
+           "local_by_part": {int(k): v for k, v in seed.get("local_by_part", {}).items()},
+           "noop_by_route": dict(seed.get("noop_by_route", {})),
+           "fold_splits": seed.get("fold_splits", 0)}
+    for m in metrics:
+        for k in ("noop", "tombstoned", "local", "rows", "fold_splits"):
+            agg[k] += m.get(k, 0)
+        for c, v in m.get("col_replacements", {}).items():
+            agg["col_replacements"][c] = agg["col_replacements"].get(c, 0) + v
+        for p, c in m.get("local_by_part", {}).items():
+            agg["local_by_part"][int(p)] = agg["local_by_part"].get(int(p), 0) + c
+        for r, c in m.get("noop_by_route", {}).items():
+            agg["noop_by_route"][r] = agg["noop_by_route"].get(r, 0) + c
+    # DDL-added columns the fold never replaced stay at 0 in the bucket
+    # counters; the run-level view (and the oracle) only reports columns
+    # actually replaced.
+    agg["col_replacements"] = {c: v for c, v in agg["col_replacements"].items() if v}
+    return agg
 
 
 @ray.remote(num_cpus=1)
@@ -441,7 +473,7 @@ def _merge_delta_files_task(files: list[str], out_file: str) -> int:
     return merged.num_rows
 
 
-@ray.remote(num_cpus=1)
+@ray.remote(num_cpus=1, num_returns=2)
 def _fold_bucket_task(
     base_files: list[str],
     delta_files: list[str],
@@ -453,15 +485,15 @@ def _fold_bucket_task(
     key_filter: list[str] | None = None,
     payload_cols: tuple[str, ...] | None = None,
     post: list | None = None,
-) -> pa.Table:
+) -> tuple[pa.Table, dict]:
     """Fold one hash partition: read its co-partitioned base + delta files,
-    run the vectorized LWW fold, return the FOLD_SCHEMA table run through
-    the ``post`` chain (``Replayer._state_rows``; None = raw)."""
+    run the vectorized LWW fold, return (the ``ROW_SCHEMA`` rows run
+    through the ``post`` chain, the bucket's metrics dict)."""
     allr = _read_bucket_tables(base_files, delta_files, cfg, base_is_final_schema,
                                max_lsn, key_filter, payload_cols)
-    out = _empty_fold() if allr is None else _fold_maybe_split(
-        allr, cfg, local_id_offsets, schema_ops, payload_cols)
-    return _run_chain(out, post)
+    rows, metrics = (ROW_SCHEMA.empty_table(), {}) if allr is None else \
+        _fold_maybe_split(allr, cfg, local_id_offsets, schema_ops, payload_cols)
+    return _run_chain(rows, post), metrics
 
 
 def _run_chain(t: pa.Table, fns: list | None) -> pa.Table:
@@ -471,20 +503,18 @@ def _run_chain(t: pa.Table, fns: list | None) -> pa.Table:
 
 
 class _WriteSnapshotRows:
-    """``compact()``'s fold-task ``post`` step: write each part's
-    ``_kind == 'row'`` rows to ``<dest>/part_p=<part_id*S>/part-<part_id>.parquet``
-    (salt 0 of the logical partition) and return the metrics/noop rows.
-    File and temp names depend only on the part id and the file lands by
-    ``os.replace``, so a retried task overwrites its file instead of
-    adding one."""
+    """``compact()``'s fold-task ``post`` step: write each part's rows to
+    ``<dest>/part_p=<part_id*S>/part-<part_id>.parquet`` (salt 0 of the
+    logical partition) and return an empty row table, so no row enters
+    the object store. File and temp names depend only on the part id and
+    the file lands by ``os.replace``, so a retried task overwrites its
+    file instead of adding one."""
 
     def __init__(self, dest: str, num_salts: int):
         self.dest = dest
         self.num_salts = num_salts
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        is_row = pc.equal(t["_kind"], "row")
-        rows = t.filter(is_row).select(_ROW_COLS + ["part_id"])
+    def __call__(self, rows: pa.Table) -> pa.Table:
         for pid in pc.unique(rows["part_id"]).to_pylist():
             d = os.path.join(self.dest, f"part_p={pid * self.num_salts}")
             os.makedirs(d, exist_ok=True)
@@ -492,55 +522,41 @@ class _WriteSnapshotRows:
             pq.write_table(rows.filter(pc.equal(rows["part_id"], pid)), tmp,
                            row_group_size=_ROW_GROUP_SIZE)
             os.replace(tmp, os.path.join(d, f"part-{pid}.parquet"))
-        return t.filter(pc.invert(is_row))
+        return rows.slice(0, 0)
 
 
 def _fold_maybe_split(allr: pa.Table, cfg: ReplayConfig,
                       local_id_offsets: dict[int, int],
                       schema_ops: list[dict] | None,
-                      payload_cols: tuple[str, ...] | None) -> pa.Table:
-    """Fold a bucket, auto-splitting a FAT one (VERDICT r3 item 6): when
-    the read rows exceed ~2× ``cfg.fold_split_bytes``, split by key hash
-    and fold the sub-groups SEQUENTIALLY in this task — peak polars
-    working set stays O(fold_split_bytes) however fat the partition,
-    replacing the 'repartition so a partition fits a worker's heap'
-    runbook knob. Exactness: keys are disjoint across sub-groups (fold is
-    per-key independent), keyless rows all hash to sub-group 0 so
-    local-id allocation ranks exactly as unsplit, and metrics rows sum
-    downstream (``_aggregate_metrics_rows`` already merges per-bucket
-    rows). Bit-equality vs the unsplit fold is pytest-pinned."""
+                      payload_cols: tuple[str, ...] | None
+                      ) -> tuple[pa.Table, dict]:
+    """Fold a bucket into (rows, metrics), auto-splitting a FAT one
+    (VERDICT r3 item 6): when the read rows exceed ~2×
+    ``cfg.fold_split_bytes``, split by key hash and fold the sub-groups
+    SEQUENTIALLY in this task — peak polars working set stays
+    O(fold_split_bytes) however fat the partition, replacing the
+    'repartition so a partition fits a worker's heap' runbook knob.
+    Exactness: keys are disjoint across sub-groups (fold is per-key
+    independent), keyless rows all hash to sub-group 0 so local-id
+    allocation ranks exactly as unsplit, and the sub-groups' metrics sum.
+    Bit-equality vs the unsplit fold is pytest-pinned."""
     from marc_data_migration_ray.functions.keys import hash_partition
-    from marc_data_migration_ray.stages.fold import fold_bucket
 
     target = int(getattr(cfg, "fold_split_bytes", 0) or 0)
     if not target or allr.nbytes <= 2 * target:
-        return fold_bucket(allr, cfg, local_id_offsets, schema_ops,
-                           payload_cols=payload_cols)
+        return split_fold(fold_bucket(allr, cfg, local_id_offsets, schema_ops,
+                                      payload_cols=payload_cols))
     n_sub = min(64, -(-allr.nbytes // target))
-    sub = hash_partition(pc.cast(allr["key"], pa.string()), n_sub)
-    sub_np = np.asarray(sub)
-    out: list[pa.Table] = []
-    for s in range(n_sub):
-        part = allr.filter(pa.array(sub_np == s))
-        if part.num_rows:
-            out.append(fold_bucket(part, cfg, local_id_offsets,
-                                   schema_ops, payload_cols=payload_cols))
-    if not out:
-        return _empty_fold()
-    # engaged-split evidence (VERDICT r4 item 7): one extra zero-count
-    # metrics row records that this bucket split and into how many
-    # sub-groups — _aggregate_metrics_rows sums it like any counter
-    marker = {"noop": 0, "tombstoned": 0, "local": 0, "rows": 0,
-              "col_replacements": {}, "fold_splits": 1,
-              "fold_split_subgroups": n_sub}
-    mark = pa.Table.from_arrays(
-        [pa.array(["metrics"], pa.string())
-         if f.name == "_kind" else
-         (pa.array([json.dumps(marker)], pa.string())
-          if f.name == "metrics_json" else pa.nulls(1, f.type))
-         for f in FOLD_SCHEMA],
-        schema=FOLD_SCHEMA)
-    return pa.concat_tables(out + [mark])
+    sub_np = np.asarray(hash_partition(pc.cast(allr["key"], pa.string()), n_sub))
+    subs = [split_fold(fold_bucket(part, cfg, local_id_offsets, schema_ops,
+                                   payload_cols=payload_cols))
+            for part in (allr.filter(pa.array(sub_np == s)) for s in range(n_sub))
+            if part.num_rows]
+    # engaged-split evidence (VERDICT r4 item 7): this bucket split, and
+    # into how many sub-groups
+    metrics = _sum_fold_metrics(m for _, m in subs)
+    metrics.update(fold_splits=1, fold_split_subgroups=n_sub)
+    return pa.concat_tables([r for r, _ in subs]), metrics
 
 
 @ray.remote(num_cpus=1)
@@ -564,7 +580,7 @@ def _fold_salted_stage1_task(
     return fold_salted_stage1(allr, cfg, schema_ops, payload_cols)
 
 
-@ray.remote(num_cpus=1)
+@ray.remote(num_cpus=1, num_returns=2)
 def _fold_salted_merge_task(
     cfg: ReplayConfig,
     local_id_offsets: dict[int, int],
@@ -572,14 +588,17 @@ def _fold_salted_merge_task(
     payload_cols: tuple[str, ...] | None,
     post: list | None,
     *summaries: pa.Table | None,
-) -> pa.Table:
-    """Stage 2: merge one logical partition's sub-bucket summaries."""
+) -> tuple[pa.Table, dict]:
+    """Stage 2: merge one logical partition's sub-bucket summaries into
+    (rows run through ``post``, metrics) — ``_fold_bucket_task``'s
+    contract."""
     from marc_data_migration_ray.stages.fold import fold_salted_merge
 
     parts = [s for s in summaries if s is not None and s.num_rows]
-    out = fold_salted_merge(pa.concat_tables(parts), cfg, local_id_offsets,
-                            schema_ops, payload_cols) if parts else _empty_fold()
-    return _run_chain(out, post)
+    rows, metrics = fold_salted_merge(
+        pa.concat_tables(parts), cfg, local_id_offsets, schema_ops,
+        payload_cols) if parts else (ROW_SCHEMA.empty_table(), {})
+    return _run_chain(rows, post), metrics
 
 
 @ray.remote(num_cpus=1)
@@ -670,9 +689,7 @@ def _asof_sweep(allr: pa.Table, cfg: ReplayConfig,
     gauntlet."""
     import polars as pl
 
-    from marc_data_migration_ray.stages.fold import (FOLD_FIELDS,
-                                                     FOLD_SCHEMA,
-                                                     _extra_value_expr,
+    from marc_data_migration_ray.stages.fold import (_extra_value_expr,
                                                      _writes_expr)
     from marc_data_migration_ray.state.schema_timeline import Timeline
 
@@ -736,7 +753,7 @@ def _asof_sweep(allr: pa.Table, cfg: ReplayConfig,
     base_row_idx = {k: i for i, k in enumerate(base_keys)}
     repl_only = cfg.strategy == "replace_only"
 
-    out_cols: dict[str, list] = {name: [] for name, _ in FOLD_FIELDS}
+    out_cols: dict[str, list] = {name: [] for name in ROW_SCHEMA.names}
     out_asof: list[int] = []
 
     for k in dict.fromkeys(keys):
@@ -839,16 +856,13 @@ def _asof_sweep(allr: pa.Table, cfg: ReplayConfig,
                                     else kb.get("candidate_key"))
             row["part_id"] = (part_l[aidx] if ev_anchor
                               else kb.get("part_id"))
-            # fold rows never carry the event-side lsn column
-            row["lsn"] = None
-            out_cols["_kind"].append("row")
-            out_cols["doc_id"].append(k)
-            for name, _ in FOLD_FIELDS[2:]:
+            row["doc_id"] = k
+            for name in ROW_SCHEMA.names:
                 out_cols[name].append(row.get(name))
             out_asof.append(int(cut_arr[i]))
 
-    arrays = [pa.array(out_cols[name], typ) for name, typ in FOLD_FIELDS]
-    return pa.Table.from_arrays(arrays, schema=FOLD_SCHEMA).append_column(
+    arrays = [pa.array(out_cols[f.name], f.type) for f in ROW_SCHEMA]
+    return pa.Table.from_arrays(arrays, schema=ROW_SCHEMA).append_column(
         "_asof_lsn", pa.array(out_asof, pa.int64()))
 
 
@@ -899,7 +913,7 @@ def _asof_sweep_auto_task(
         cut_lsns = [L for L in np.unique(
             lv.to_numpy(zero_copy_only=False)).tolist() if L >= ceiling]
     if not cut_lsns:
-        return (_empty_fold().append_column(
+        return (ROW_SCHEMA.empty_table().append_column(
             "_asof_lsn", pa.array([], pa.int64())), [])
     ops_for = _ops_prefix_fn(all_ops)
     return (_asof_sweep(allr, cfg, [(L, ops_for(L)) for L in cut_lsns],
@@ -910,7 +924,7 @@ def _asof_sweep_auto_task(
 def _diff_bucket_task(ta: pa.Table, tb: pa.Table,
                       payload: bool = False,
                       before_payload: bool = False) -> pa.Table:
-    """Diff two same-bucket fold outputs (change-data feed unit): vectorized
+    """Diff two same-bucket fold row tables (change-data feed unit): vectorized
     polars full join on doc_id; ``update`` = last_lsn moved. With
     ``payload=True`` the after-image additionally carries ``tokens_after``
     (the full token array), making the feed sufficient for downstream
@@ -921,8 +935,7 @@ def _diff_bucket_task(ta: pa.Table, tb: pa.Table,
     retract old entries (``pipelines/views.PostingsView``)."""
     import polars as pl
 
-    def _rows(t: pa.Table, suffix: str, with_tokens: bool) -> "pl.DataFrame":
-        r = t.filter(pc.equal(t["_kind"], "row"))
+    def _rows(r: pa.Table, suffix: str, with_tokens: bool) -> "pl.DataFrame":
         cols = ["doc_id", "last_lsn"] + [
             c for c in ("n_tok", "source", "status") if c in r.column_names
         ]
@@ -1018,7 +1031,7 @@ def _gen_rows(op: str, rows: pa.Table, score: int = 100,
 
 @ray.remote(num_cpus=1)
 def _generate_part_task(
-    state: pa.Table, gen, part: int, P: int, base_lsn: int, epoch: int,
+    rows: pa.Table, gen, part: int, P: int, base_lsn: int, epoch: int,
     out_file: str,
 ) -> tuple:
     """One partition of an engine-generated epoch
@@ -1026,8 +1039,7 @@ def _generate_part_task(
     counts)`` over the partition's live rows (``_ROW_COLS``); lsn =
     base + i*P + part, globally unique and above the fence. The file is
     written only when it has rows. Returns ``counts``."""
-    rows = state.filter(pc.equal(state["_kind"], "row")).select(_ROW_COLS)
-    body, counts = gen(rows, part)
+    body, counts = gen(rows.select(_ROW_COLS), part)
     n = body.num_rows
     if n:
         lsn = pa.array(base_lsn + np.arange(n, dtype=np.int64) * P + part)
@@ -1518,20 +1530,16 @@ class Replayer:
     def fold_output(self, up_to_epoch: int | None = None,
                     up_to_lsn: int | None = None,
                     payload_cols: tuple[str, ...] | None = None):
-        """Raw fold dataset: _kind ∈ {row, noop, metrics} (FOLD_SCHEMA).
+        """Raw fold rows (``ROW_SCHEMA``: canonical column names, before
+        schema evolution and policies).
 
         One Ray task per hash partition, each reading only its own
         co-partitioned base + delta files. ``up_to_lsn`` is LSN-level time
         travel (mid-epoch point-in-time read): delta events above the cut
         never happened; must be at or above the compaction ceiling.
-        ``payload_cols`` prunes the fold (projection pushdown) — pruned
-        folds serve reads; metrics rows of a pruned fold cover only the
-        folded columns."""
-        refs = self._fold_part_refs(up_to_epoch, up_to_lsn=up_to_lsn,
-                                    payload_cols=payload_cols)
-        if not refs:  # empty table
-            return ray.data.from_arrow(_empty_fold())
-        return ray.data.from_arrow_refs(list(refs.values()))
+        ``payload_cols`` prunes the fold (projection pushdown)."""
+        return _rows_dataset(self._fold_part_refs(
+            up_to_epoch, up_to_lsn=up_to_lsn, payload_cols=payload_cols))
 
     def _fold_layout(
         self, up_to_epoch: int | None = None, up_to_lsn: int | None = None,
@@ -1598,9 +1606,10 @@ class Replayer:
         key_filter: list[str] | None = None,
         payload_cols: tuple[str, ...] | None = None,
         post: list | None = None,
-    ) -> dict[int, "ray.ObjectRef"]:
-        """One fold ObjectRef per LOGICAL partition (keyed by partition id) —
-        the co-partitioned unit ``changes_between`` diffs pairwise.
+    ) -> dict[int, tuple["ray.ObjectRef", "ray.ObjectRef"]]:
+        """One fold task per LOGICAL partition (keyed by partition id) —
+        the co-partitioned unit ``changes_between`` diffs pairwise — as
+        its (rows ref, metrics ref) pair.
         ``only_parts`` restricts the fold to those logical partitions
         (point lookups: touch only the buckets that can hold the keys).
         ``payload_cols`` prunes the fold to the requested payload / added
@@ -1619,7 +1628,7 @@ class Replayer:
         S = self.cfg.num_salts
         if S == 1:
             return {
-                p: _fold_bucket_task.remote(
+                p: tuple(_fold_bucket_task.remote(
                     base_by_part.get(p, []),
                     delta_by_part.get(p, []),
                     self.cfg,
@@ -1630,7 +1639,7 @@ class Replayer:
                     key_filter,
                     payload_cols,
                     post,
-                )
+                ))
                 for p in parts
             }
         # salted two-stage fold: `parts` here are PHYSICAL sub-buckets;
@@ -1639,7 +1648,7 @@ class Replayer:
         logical: dict[int, list[int]] = {}
         for p in parts:
             logical.setdefault(p // S, []).append(p)
-        merge_refs: dict[int, "ray.ObjectRef"] = {}
+        merge_refs: dict[int, tuple["ray.ObjectRef", "ray.ObjectRef"]] = {}
         for lp, phys in sorted(logical.items()):
             s1 = [
                 _fold_salted_stage1_task.remote(
@@ -1654,9 +1663,9 @@ class Replayer:
                 )
                 for p in phys
             ]
-            merge_refs[lp] = _fold_salted_merge_task.remote(
+            merge_refs[lp] = tuple(_fold_salted_merge_task.remote(
                 self.cfg, offsets, schema_ops, payload_cols, post, *s1
-            )
+            ))
         return merge_refs
 
     def changes_between(self, from_epoch: int, to_epoch: int,
@@ -1691,10 +1700,11 @@ class Replayer:
             raise ValueError("from_epoch must be < to_epoch")
         refs_a = self._fold_part_refs(from_epoch)
         refs_b = self._fold_part_refs(to_epoch)
-        empty = ray.put(_empty_fold())
+        empty = (ray.put(ROW_SCHEMA.empty_table()), None)
         parts = sorted(set(refs_a) | set(refs_b))
         out = [
-            _diff_bucket_task.remote(refs_a.get(p, empty), refs_b.get(p, empty),
+            _diff_bucket_task.remote(refs_a.get(p, empty)[0],
+                                     refs_b.get(p, empty)[0],
                                      with_payload, with_before_payload)
             for p in parts
         ]
@@ -1822,18 +1832,16 @@ class Replayer:
     def _state_rows(self, up_to_epoch: int | None, up_to_lsn: int | None,
                     columns: list[str] | None, pre: tuple = (),
                     **fold_kw):
-        """Public-row Dataset of ``read_state``/``lookup``: fold tasks keep
-        ``_kind == 'row'`` and run ``pre`` + the postprocess chain themselves
-        (cheaper than a separate Ray Data stage). The projection resolves AS
-        OF the cut, where a pre-rename display name is valid."""
+        """Public-row Dataset of ``read_state``/``lookup``: fold tasks run
+        ``pre`` + the postprocess chain over their rows themselves (cheaper
+        than a separate Ray Data stage). The projection resolves AS OF the
+        cut, where a pre-rename display name is valid."""
         payload_cols = self._resolve_projection(columns, up_to_epoch, up_to_lsn)
-        post = [lambda t: t.filter(pc.equal(t["_kind"], "row")), *pre,
-                *self._postprocess_fns(up_to_epoch, up_to_lsn, columns)]
+        post = [*pre, *self._postprocess_fns(up_to_epoch, up_to_lsn, columns)]
         refs = self._fold_part_refs(up_to_epoch, up_to_lsn=up_to_lsn, post=post,
                                     payload_cols=payload_cols, **fold_kw)
-        if not refs:  # empty table, or no partition can hold the keys
-            return ray.data.from_arrow(_run_chain(_empty_fold(), post))
-        return ray.data.from_arrow_refs(list(refs.values()))
+        # empty: no rows, or no partition can hold the keys
+        return _rows_dataset(refs, post)
 
     def _resolve_projection(
         self, columns: list[str] | None,
@@ -2251,7 +2259,7 @@ class Replayer:
     def _asof_collect(self, tables,
                       columns) -> dict[tuple[str, int], dict]:
         """Postprocess self-cutting sweep results (``_asof_lsn``-tagged
-        FOLD_SCHEMA rows) into the ``{(doc_id, lsn): state_row}`` map of
+        ``ROW_SCHEMA`` rows) into the ``{(doc_id, lsn): state_row}`` map of
         ``doc_history_many``: cuts grouped by as-of schema signature, one
         evolve-chain application per group."""
         ops_for = _ops_prefix_fn(self.manifest.state["schema_ops"])
@@ -2357,7 +2365,7 @@ class Replayer:
     def _postprocess_table(self, t: pa.Table, up_to_epoch: int | None,
                            up_to_lsn: int | None = None,
                            columns: list[str] | None = None) -> pa.Table:
-        """Fold row-kind table → public state schema on the driver (per-LSN
+        """Fold rows → public state schema on the driver (per-LSN
         as-of states): the same chain ``read_state``/``lookup`` run inside
         their fold tasks."""
         return _run_chain(t, self._postprocess_fns(up_to_epoch, up_to_lsn,
@@ -2453,49 +2461,16 @@ class Replayer:
             fns.append(lambda t: t.select(sel))
         return fns
 
-    def _aggregate_metrics_rows(self, tables, seed: dict | None = None) -> dict:
-        """Sum the per-bucket ``_kind == 'metrics'`` rows of an iterable of
-        FOLD_SCHEMA Arrow tables. ``seed`` (a prior compaction's cumulative
-        snapshot) pre-loads every counter except ``rows``, which is
-        current-state, not cumulative."""
-        seed = seed or {}
-        agg = {"noop": seed.get("noop", 0), "tombstoned": seed.get("tombstoned", 0),
-               "local": seed.get("local", 0), "rows": 0,
-               "col_replacements": dict(seed.get("col_replacements", {})),
-               "local_by_part": {int(k): v for k, v in seed.get("local_by_part", {}).items()},
-               "noop_by_route": dict(seed.get("noop_by_route", {})),
-               "fold_splits": seed.get("fold_splits", 0)}
-        for t in tables:
-            mrows = t.filter(pc.equal(t["_kind"], "metrics"))
-            for s in mrows["metrics_json"].to_pylist():
-                m = json.loads(s)
-                agg["noop"] += m["noop"]
-                agg["tombstoned"] += m["tombstoned"]
-                agg["local"] += m["local"]
-                agg["rows"] += m["rows"]
-                for c, v in m["col_replacements"].items():
-                    agg["col_replacements"][c] = agg["col_replacements"].get(c, 0) + v
-                for p, c in m.get("local_by_part", {}).items():
-                    agg["local_by_part"][int(p)] = agg["local_by_part"].get(int(p), 0) + c
-                for r, c in m.get("noop_by_route", {}).items():
-                    agg["noop_by_route"][r] = agg["noop_by_route"].get(r, 0) + c
-                agg["fold_splits"] += m.get("fold_splits", 0)
-        # DDL-added columns the fold never replaced stay at 0 in the bucket
-        # counters; the run-level view (and the oracle) only reports columns
-        # actually replaced.
-        agg["col_replacements"] = {c: v for c, v in agg["col_replacements"].items() if v}
-        return agg
-
     def fold_metrics(self, up_to_epoch: int | None = None) -> dict:
         """WHOLE-RUN fold metrics (noop/tombstoned/col_replacements/local),
         plus current row count and pre-fold route counts from the manifest.
         Counters survive compaction via the manifest metrics snapshot.
         Invariant: processed == sum(all routes)."""
-        refs = self._fold_part_refs(up_to_epoch, post=[
-            lambda t: t.filter(pc.equal(t["_kind"], "metrics"))])
-        agg = self._aggregate_metrics_rows(
-            ray.get(list(refs.values())), seed=self.manifest.metrics_snapshot()
-        )
+        # the post step empties each task's rows: only metrics leave the task
+        refs = self._fold_part_refs(up_to_epoch, post=[lambda t: t.slice(0, 0)])
+        agg = _sum_fold_metrics(
+            ray.get([m for _, m in refs.values()]),
+            seed=self.manifest.metrics_snapshot())
         routes = {}
         for e in self.manifest.committed_epochs():
             if up_to_epoch is not None and e > up_to_epoch:
@@ -2559,14 +2534,14 @@ class Replayer:
         new_base = os.path.join(self.root, f"base-compact-{uuid.uuid4().hex[:8]}")
         tmp = new_base + ".tmp"
         # each fold task writes its partition's snapshot file itself and
-        # hands back only its metrics/noop rows
+        # hands back only its metrics
         refs = self._fold_part_refs(
             up_to, post=[_WriteSnapshotRows(tmp, self.cfg.num_salts)])
         os.makedirs(tmp, exist_ok=True)  # even when no partition has live rows
         # cumulative run counters (prior snapshot + this fold) ride along in
         # the compaction record so fold_metrics stays whole-run after the
         # absorbed epochs' events are gone from the delta files
-        this_fold = self._aggregate_metrics_rows(ray.get(list(refs.values())))
+        this_fold = _sum_fold_metrics(ray.get([m for _, m in refs.values()]))
         local_counts = dict(this_fold["local_by_part"])  # this fold only: offsets accumulate
         snap = self._cumulative_metrics_snapshot(this_fold)
         os.rename(tmp, new_base)
@@ -2605,11 +2580,10 @@ class Replayer:
             raise ValueError("num_partitions/num_salts must be >= 1")
         up_to = (self.manifest.committed_epochs()[-1]
                  if self.manifest.committed_epochs() else -1)
-        out = self.fold_output(up_to) if (
-            self.manifest.state.get("base_path") or self.manifest.committed_epochs()
-        ) else None
-        if out is None:
+        if not (self.manifest.state.get("base_path")
+                or self.manifest.committed_epochs()):
             raise ValueError("nothing to repartition: empty table")
+        refs = self._fold_part_refs(up_to)
         new_base = os.path.join(self.root, f"base-repart-{uuid.uuid4().hex[:8]}")
         tmp = new_base + ".tmp"
         prefix = self.cfg.local_id_prefix
@@ -2631,7 +2605,7 @@ class Replayer:
                 pc.cast(pc.multiply(pc.cast(part, pa.int64()), S), pa.int32()),
             )
 
-        rows = out.filter(expr="_kind == 'row'").map_batches(
+        rows = _rows_dataset(refs).map_batches(
             _rewrite, batch_format="pyarrow", zero_copy_batch=True
         )
         write_parquet_partitioned(
@@ -2640,9 +2614,8 @@ class Replayer:
             # holds the old one here, which skipped the co-location sort
             # exactly when growing past the threshold (code-review r5)
             expected_partitions=new_P * new_S)
-        this_fold = self._aggregate_metrics_rows(
-            out.filter(expr="_kind == 'metrics'").iter_batches(
-                batch_format="pyarrow"))
+        this_fold = _sum_fold_metrics(
+            ray.get([m for _, m in refs.values()]))
         local_counts = dict(this_fold["local_by_part"])
         snap = self._cumulative_metrics_snapshot(this_fold)
         os.makedirs(tmp, exist_ok=True)  # even when no partition has live rows
@@ -2838,10 +2811,10 @@ class Replayer:
             empty = None
             tasks = []
             for p in sorted(refs if parts is None else parts):
-                ref = refs.get(p)
+                ref = refs[p][0] if p in refs else None
                 if ref is None:
                     if empty is None:
-                        empty = ray.put(_empty_fold())
+                        empty = ray.put(ROW_SCHEMA.empty_table())
                     ref = empty
                 tasks.append(_generate_part_task.remote(
                     ref, gen, p, P, base_lsn, epoch,

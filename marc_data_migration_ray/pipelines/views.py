@@ -197,14 +197,11 @@ class AggView:
         if last is None or last < floor:
             # full build (first refresh, or the incremental base epoch was
             # compacted away and can no longer be folded). Reads the raw
-            # fold output — CANONICAL column names, pre-policy — because
+            # fold rows — CANONICAL column names, pre-policy — because
             # that is exactly what the change feed carries; building from
             # read_state would bake policy/rename transforms into the full
             # path that incremental refreshes could never reproduce.
-            rows = self.rp.fold_output(up_to_epoch=to_epoch).filter(
-                expr="_kind == 'row'"
-            )
-            partials = rows.map_batches(
+            partials = self.rp.fold_output(up_to_epoch=to_epoch).map_batches(
                 self._partial, batch_format="pyarrow", zero_copy_batch=True
             )
             agg = self._finish(partials)
@@ -414,10 +411,9 @@ class _SignedSetView:
         floor = self.rp.manifest.last_compacted_epoch()
         stored_dir = None
         if last is None or last < floor:
-            rows = self.rp.fold_output(up_to_epoch=to_epoch).filter(
-                expr="_kind == 'row'"
-            )
-            pairs = rows.map_batches(
+            # full build from the raw fold rows (canonical names, as the
+            # change feed carries them)
+            pairs = self.rp.fold_output(up_to_epoch=to_epoch).map_batches(
                 self._full_pairs, batch_format="pyarrow", zero_copy_batch=True
             )
             mode = "full"

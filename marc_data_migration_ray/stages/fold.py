@@ -1,18 +1,21 @@
 """Per-partition LWW fold (the merge-apply core).
 
 Implements SEMANTICS.md §"Fold" fully vectorized with polars over one hash
-partition's rows (base ∪ binlog deltas), called from
-``groupby("part_id").map_groups(..., batch_format="pyarrow")``. All
-operations are columnar sorts / group-by-last / joins — no per-key Python.
+partition's rows (base ∪ binlog deltas), called from the per-bucket fold
+tasks of ``pipelines/replay.py``. All operations are columnar sorts /
+group-by-last / joins — no per-key Python.
 
 This is the analog of the reference's field-replacement core
 (``record_update.py:843-887`` U1-U7) + unmodified-record path
 (``record_update.py:479-504``) + local-id assignment
 (``pnca_policy.py:174-223`` P6), recast as a deterministic keyed fold.
 
-Output is a union-schema table: ``_kind='row'`` final rows,
-``_kind='noop'`` rerouted update lsns (audit refinement), one
-``_kind='metrics'`` JSON row per bucket (reference A1/A2 counters).
+``fold_bucket`` returns a union-schema table: ``_kind='row'`` final rows
+plus one ``_kind='metrics'`` JSON row per bucket (reference A1/A2
+counters; rerouted updates are counted there as ``noop`` /
+``noop_by_route``). ``split_fold`` turns it into the two outputs every
+caller in the package uses — ``ROW_SCHEMA`` rows and the metrics dict —
+so no package code outside this module reads ``_kind``.
 """
 
 from __future__ import annotations
@@ -42,13 +45,23 @@ FOLD_FIELDS = [
     ("candidate_key", pa.string()),
     ("extra_json", pa.string()),
     ("part_id", pa.int32()),
-    ("lsn", pa.int64()),
     ("metrics_json", pa.string()),
 ]
 FOLD_SCHEMA = pa.schema(FOLD_FIELDS)
 
 _ROW_COLS = ["doc_id", "tokens", "n_tok", "source", "last_lsn", "status",
              "candidate_key", "extra_json"]
+#: the folded rows of one bucket: ``_ROW_COLS`` + ``part_id``
+ROW_SCHEMA = pa.schema([FOLD_SCHEMA.field(c) for c in _ROW_COLS + ["part_id"]])
+
+
+def split_fold(out: pa.Table) -> tuple[pa.Table, dict]:
+    """``fold_bucket`` output → (``ROW_SCHEMA`` rows, the bucket's metrics
+    dict)."""
+    is_row = pc.equal(out["_kind"], "row")
+    m = out.filter(pc.invert(is_row))["metrics_json"]
+    return (out.filter(is_row).select(ROW_SCHEMA.names),
+            json.loads(m[0].as_py()) if len(m) else {})
 
 
 def fold_input_columns(payload_cols: tuple[str, ...] | None = None) -> list[str]:
@@ -137,7 +150,8 @@ def fold_bucket(
     schema_ops: list[dict] | None = None,
     payload_cols: tuple[str, ...] | None = None,
 ) -> pa.Table:
-    """Fold one partition's base+delta rows into final rows + audit + metrics.
+    """Fold one partition's base+delta rows into final rows + metrics
+    (``split_fold`` separates the two).
 
     ``schema_ops`` (lsn-ordered DDL) drives mid-stream mask resolution: a
     column mask refers to the schema AS OF the event's lsn (post-rename
@@ -334,8 +348,6 @@ def fold_bucket(
     out = [_to_arrow(rows)]
     if local_rows is not None:
         out.append(_to_arrow(local_rows))
-    if noops.height:
-        out.append(_to_arrow(noops.select(pl.lit("noop").alias("_kind"), "lsn")))
 
     part_ids = df["part_id"].unique().to_list() if df.height else []
     # exact per-part local-insert counts (drives the allocator offsets on
@@ -481,20 +493,19 @@ def fold_salted_merge(
     local_id_offsets: dict[int, int] | None = None,
     schema_ops: list[dict] | None = None,
     payload_cols: tuple[str, ...] | None = None,
-) -> pa.Table:
+) -> tuple[pa.Table, dict]:
     """Stage 2: concat of a logical partition's stage-1 summaries →
-    FOLD_SCHEMA output. State comes from fold_bucket over the anchor /
-    winner / local sections; noop + col-replacement metrics are recomputed
-    exactly from the complete update-metadata section."""
+    (``ROW_SCHEMA`` rows, metrics dict). State comes from fold_bucket over
+    the anchor / winner / local sections; noop + col-replacement metrics
+    are recomputed exactly from the complete update-metadata section."""
     from marc_data_migration_ray.state.schema_timeline import Timeline
 
     tl = Timeline(schema_ops)
     df = pl.from_arrow(tbl)
     meta = df.filter(pl.col("_sec") == "u").drop("_sec")
     fold_in = df.filter(pl.col("_sec") != "u").drop("_sec")
-    folded = fold_bucket(fold_in.to_arrow(), cfg, local_id_offsets, schema_ops,
-                         payload_cols)
-    rows = folded.filter(pc.equal(folded["_kind"], "row"))
+    rows, m = split_fold(fold_bucket(fold_in.to_arrow(), cfg, local_id_offsets,
+                                     schema_ops, payload_cols))
 
     # recompute the global anchor over the candidate section (same rule as
     # fold_bucket) to judge every update in `meta`
@@ -539,35 +550,13 @@ def fold_salted_merge(
             wc = wc.filter(pl.col(f"_ahas_{c}"))
         col_repl[c] = wc.height
 
-    # rebuild the metrics row: state-side numbers from the fold, update-side
-    # numbers (noop / col_replacements) from the complete metadata
-    mrow_tbl = folded.filter(pc.equal(folded["_kind"], "metrics"))
-    m = json.loads(mrow_tbl["metrics_json"][0].as_py())
+    # state-side metrics come from the fold, update-side numbers (noop /
+    # col_replacements) from the complete metadata
     m["noop"] = noops.height
     m["noop_by_route"] = (
         {str(r[0]): int(r[1]) for r in noops.group_by("route").len().iter_rows()}
         if noops.height else {}
     )
     m["col_replacements"] = col_repl
-    out = [rows]
-    if noops.height:
-        out.append(_to_arrow(noops.select(pl.lit("noop").alias("_kind"), "lsn")))
-    mrow = pa.Table.from_arrays(
-        [
-            pa.array(["metrics"], pa.string()),
-            *[pa.nulls(1, typ) for name, typ in FOLD_FIELDS[1:-1]],
-            pa.array([json.dumps(m)], pa.string()),
-        ],
-        schema=FOLD_SCHEMA,
-    )
-    out.append(mrow)
-    return pa.concat_tables(out)
+    return rows, m
 
-
-def make_fold_fn(cfg: ReplayConfig, local_id_offsets: dict[int, int] | None = None):
-    """Build the map_groups callable (captures config once)."""
-
-    def _fold(tbl: pa.Table) -> pa.Table:
-        return fold_bucket(tbl, cfg, local_id_offsets)
-
-    return _fold

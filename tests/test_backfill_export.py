@@ -398,16 +398,26 @@ def test_scan_export_refuses_old_zone_format(tmp_path):
         scan_export(str(dest))
 
 
-def test_clustered_export_cli_round_trip(ray_session, tmp_path, fixture_dir,
-                                         capsys, monkeypatch):
-    """``export --cluster-by a,b`` then ``scan-export --col c:lo:hi`` prints
-    the same count as a plain filter over the state."""
+def test_cli_main_keeps_a_running_ray_session(ray_session, tmp_path,
+                                             fixture_dir, capsys):
+    """An in-process ``main([...])`` under an already running Ray leaves
+    that session up: ``main`` shuts down only a session it started."""
     import ray
 
     from marc_data_migration_ray.__main__ import main
 
-    # main() shuts its Ray session down on exit; keep the test session's
-    monkeypatch.setattr(ray, "shutdown", lambda: None)
+    assert main(["apply", "--table", str(tmp_path / "t"), "--epoch", "0",
+                 "--binlog", os.path.join(fixture_dir, "binlog", "epoch=0"),
+                 "--base", os.path.join(fixture_dir, "base"),
+                 "--num-partitions", "4"]) == 0
+    assert ray.is_initialized()
+
+
+def test_clustered_export_cli_round_trip(ray_session, tmp_path, fixture_dir,
+                                         capsys):
+    """``export --cluster-by a,b`` then ``scan-export --col c:lo:hi`` prints
+    the same count as a plain filter over the state."""
+    from marc_data_migration_ray.__main__ import main
 
     cfg = ReplayConfig(num_partitions=4)
     table = str(tmp_path / "t")

@@ -1,6 +1,6 @@
 """compact() writes its snapshot from inside the per-bucket fold tasks:
 each task writes its partition's ``part_p=<part_id*S>/part-<part_id>.parquet``
-and returns only its metrics/noop rows.
+and returns an empty row table beside its metrics.
 
 Parity: after ``compact()`` the table reads, counts and allocates exactly
 as it did before (state, ``fold_metrics``, local-id offsets, metrics
@@ -24,7 +24,7 @@ from marc_data_migration_ray.pipelines.replay import (
     _ROW_COLS, Replayer, _WriteSnapshotRows,
 )
 from marc_data_migration_ray.sources import fixtures
-from marc_data_migration_ray.stages.fold import FOLD_SCHEMA
+from marc_data_migration_ray.stages.fold import ROW_SCHEMA
 
 N_EPOCHS = 3
 CASES = {
@@ -72,7 +72,7 @@ def compacted(request, ray_session, fixture_dir, tmp_path_factory):
         "offsets": rp.manifest.local_id_offsets(),
         "snapshot": rp.manifest.metrics_snapshot(),
         "compactions": len(rp.manifest.state["compactions"]),
-        "rows": _materialize(rp.fold_output().filter(expr="_kind == 'row'"))
+        "rows": _materialize(rp.fold_output())
         .select(_ROW_COLS + ["part_id"]).sort_by("doc_id").to_pylist(),
     }
 
@@ -143,20 +143,16 @@ def test_snapshot_one_file_per_partition(compacted):
 
 
 def _fold_table(rows: dict[int, list[str]]) -> pa.Table:
-    """FOLD_SCHEMA table: the given doc ids as ``row`` rows of their part,
-    plus one metrics and one noop row."""
+    """ROW_SCHEMA table: the given doc ids as rows of their part."""
     ids = [(p, d) for p, ds in rows.items() for d in ds]
     n = len(ids)
-    cols = {f.name: pa.nulls(n + 2, f.type) for f in FOLD_SCHEMA}
-    cols["_kind"] = pa.array(["row"] * n + ["metrics", "noop"], pa.string())
-    cols["doc_id"] = pa.array([d for _, d in ids] + [None, None], pa.string())
-    cols["part_id"] = pa.array([p for p, _ in ids] + [None, None],
-                               FOLD_SCHEMA.field("part_id").type)
-    cols["tokens"] = pa.array([[i, i + 1] for i in range(n)] + [None, None],
-                              FOLD_SCHEMA.field("tokens").type)
-    cols["metrics_json"] = pa.array([None] * n + ['{"noop": 0}', None],
-                                    pa.string())
-    return pa.table(cols, schema=FOLD_SCHEMA)
+    cols = {f.name: pa.nulls(n, f.type) for f in ROW_SCHEMA}
+    cols["doc_id"] = pa.array([d for _, d in ids], pa.string())
+    cols["part_id"] = pa.array([p for p, _ in ids],
+                               ROW_SCHEMA.field("part_id").type)
+    cols["tokens"] = pa.array([[i, i + 1] for i in range(n)],
+                              ROW_SCHEMA.field("tokens").type)
+    return pa.table(cols, schema=ROW_SCHEMA)
 
 
 def test_write_step_is_retry_safe(tmp_path):
@@ -167,7 +163,7 @@ def test_write_step_is_retry_safe(tmp_path):
     step = _WriteSnapshotRows(str(tmp_path), 2)
     for attempt in range(2):
         rest = step(t)
-        assert rest.column("_kind").to_pylist() == ["metrics", "noop"]
+        assert rest.num_rows == 0 and rest.schema == ROW_SCHEMA
         if attempt == 0:  # an attempt that died mid-write
             (tmp_path / "part_p=2" / ".part-1.parquet.tmp").write_bytes(b"x")
     assert sorted(os.listdir(tmp_path)) == ["part_p=2", "part_p=6"]

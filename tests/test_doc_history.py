@@ -345,7 +345,7 @@ def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
 
     from marc_data_migration_ray.pipelines.replay import (
         _asof_sweep, _read_bucket_tables)
-    from marc_data_migration_ray.stages.fold import fold_bucket
+    from marc_data_migration_ray.stages.fold import fold_bucket, split_fold
 
     fixture_dir = str(tmp_path / "fx")
     fixtures.write_fixture(fixture_dir, n_rows=120, n_events=700,
@@ -370,12 +370,11 @@ def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
         swept = _asof_sweep(allr, cfg, cuts, keys, None)
         per_cut = []
         for L, ops in cuts:
-            r = fold_bucket(
+            r, _ = split_fold(fold_bucket(
                 allr.filter(pc.or_kleene(allr["is_base"],
                                          pc.less_equal(allr["lsn"], L))),
-                cfg, offsets, ops)
-            r = r.filter(pc.and_(pc.equal(r["_kind"], "row"),
-                                 pc.is_in(r["doc_id"], value_set=want)))
+                cfg, offsets, ops))
+            r = r.filter(pc.is_in(r["doc_id"], value_set=want))
             per_cut.append(r.append_column(
                 "_asof_lsn", pa.array([L] * r.num_rows, pa.int64())))
         folded = pa.concat_tables(per_cut)
@@ -383,9 +382,7 @@ def test_sweep_equals_fold_path(ray_session, tmp_path, strategy,
         def _index(t):
             rows = {}
             for r in t.to_pylist():
-                rows[(r["doc_id"], r["_asof_lsn"])] = {
-                    k: v for k, v in r.items()
-                    if k not in ("metrics_json",)}
+                rows[(r["doc_id"], r["_asof_lsn"])] = r
             return rows
 
         sw, fo = _index(swept), _index(folded)

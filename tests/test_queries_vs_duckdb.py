@@ -206,19 +206,6 @@ def test_entry_smoke(ray_session):
     assert "doc_id" in names and "n_tok" in names
 
 
-def test_cdc_lww_state_layout_path_matches_shuffle(ray_session):
-    """cdc_lww_state(via='layout') — the co-partitioned manifest Replayer
-    path — must produce exactly the rows of the one-shot shuffle fold."""
-    from marc_data_migration_ray.pipelines import derived
-
-    key = lambda r: r["doc_id"]
-    a = sorted(derived.cdc_lww_state(SF_DIR).take_all(), key=key)
-    b = sorted(derived.cdc_lww_state(SF_DIR, via="layout").take_all(), key=key)
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert dict(x) == dict(y), (x, y)
-
-
 def test_price_quantiles_constant_column_short_circuit(ray_session, tmp_path):
     """All-equal prices: bin width collapses to 1, the histogram is exact,
     and every quantile is that single value (pass 3 never runs — the

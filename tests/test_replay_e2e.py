@@ -543,3 +543,32 @@ def test_changes_between_matches_oracle_diff(ray_session, fixture_dir, tmp_path)
         rp.changes_between(0, 99)
     with pytest.raises(ValueError, match="from_epoch"):
         rp.changes_between(2, 1)
+
+
+def test_fold_output_is_the_row_schema(ray_session, tmp_path):
+    """``fold_output()`` carries exactly the fold's row columns (no
+    ``_kind``, ``metrics_json`` or ``lsn``) and, on a table with no DDL to
+    apply, the rows ``read_state()`` returns."""
+    import pyarrow as pa
+    import ray
+
+    from marc_data_migration_ray.stages.fold import ROW_SCHEMA
+
+    fx = str(tmp_path / "fx")
+    fixtures.write_fixture(fx, n_rows=120, n_events=600, n_epochs=2, seed=3,
+                           schema_change_frac=0.0)
+    rp = Replayer(str(tmp_path / "t"), ReplayConfig(num_partitions=4),
+                  base_path=os.path.join(fx, "base"))
+    for e in range(2):
+        rp.apply_epoch(e, os.path.join(fx, "binlog", f"epoch={e}"))
+    assert not rp.manifest.state["schema_ops"]
+
+    def _table(ds):
+        return pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("doc_id")
+
+    out = rp.fold_output()
+    assert out.schema().names == ROW_SCHEMA.names
+    state = _table(rp.read_state())
+    assert state.num_rows > 0
+    assert _table(out).select(state.column_names).to_pylist() \
+        == state.to_pylist()

@@ -1,5 +1,5 @@
 """read_state / lookup fold straight to public rows: each per-bucket fold
-task keeps its ``_kind == 'row'`` output and runs the postprocess chain
+task runs the postprocess chain over its rows
 (schema evolution, policy plugins, generated columns, projection) itself.
 
 Parity: the Datasets equal ``_postprocess_table`` applied on the driver to
@@ -63,8 +63,7 @@ def _materialize(ds) -> pa.Table:
 
 
 def _expected(rp, keys=None, up_to_epoch=None, up_to_lsn=None, columns=None):
-    raw = _materialize(rp.fold_output(up_to_epoch, up_to_lsn).filter(
-        expr="_kind == 'row'"))
+    raw = _materialize(rp.fold_output(up_to_epoch, up_to_lsn))
     if keys is not None:
         raw = raw.filter(pc.is_in(raw["doc_id"],
                                   value_set=pa.array(keys, pa.string())))

@@ -5,6 +5,7 @@ the live edge."""
 import pyarrow.compute as pc
 import pytest
 
+from marc_data_migration_ray import oracle
 from marc_data_migration_ray.config import ReplayConfig
 from marc_data_migration_ray.pipelines import derived
 
@@ -41,17 +42,16 @@ def test_live_versions_equal_final_state(ray_session, versions):
 
 
 def test_versions_cover_every_cut(ray_session, versions):
-    """At several lsn cuts the covering version == an actual replay of the
-    prefix (cut-filtered binlog through the real fold)."""
+    """At several lsn cuts the covering version == the Python oracle's
+    replay of the prefix (the derived base + the cut-filtered binlog)."""
     cfg = ReplayConfig(num_partitions=8)
+    base = derived.build_base_ds(SF).take_all()
+    evs = derived.build_binlog_ds(SF).take_all()
     max_lsn = max(r["from_lsn"] for r in versions)
     for cut in [max_lsn // 4, max_lsn // 2, max_lsn]:
-        binlog = derived.build_binlog_ds(SF).filter(expr=f"lsn <= {cut}")
-        rows = derived.replay_datasets(derived.build_base_ds(SF), binlog, cfg)
-        state = {}
-        for b in rows.iter_batches(batch_format="pyarrow"):
-            for r in b.to_pylist():
-                state[r["doc_id"]] = (r["n_tok"], r["source"])
+        final = oracle.replay(base, [e for e in evs if e["lsn"] <= cut],
+                              cfg)["final"]
+        state = {r["doc_id"]: (r["n_tok"], r["source"]) for r in final}
         assert _state_at(versions, cut) == state, f"cut={cut}"
 
 

@@ -243,7 +243,7 @@ def test_generic_aggview_multi_key_incremental(ray_session, fixture_dir, tmp_pat
 
     # ground truth from the raw fold output (CANONICAL names — the view's
     # contract; read_state would apply the fixture's DDL renames)
-    state = rp.fold_output().filter(expr="_kind == 'row'").take_all()
+    state = rp.fold_output().take_all()
     want: dict = {}
     for row in state:
         k = (row["source"], row["status"])
