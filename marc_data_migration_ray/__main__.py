@@ -417,10 +417,6 @@ def main(argv=None) -> int:
                     dest="maintain_every", metavar="K",
                     help="run maintain() (auto compact/level-1 merge) after "
                          "every K applied epochs (0 = never)")
-    fo.add_argument("--index-blooms", action="store_true", dest="index_blooms",
-                    help="backfill .keybloom file-skipping sidecars after "
-                         "each applied epoch (ingest writes them itself; "
-                         "this only indexes files written by older code)")
     fo.add_argument("--max-deadletter-rate", type=float, default=None,
                     dest="max_dl_rate",
                     help="write-audit-publish gate: veto (and stop) when an "
@@ -1016,8 +1012,6 @@ def main(argv=None) -> int:
                                          "n_changes": rel["n_changes"]}
                     if args.maintain_every and (e + 1) % args.maintain_every == 0:
                         line["maintain"] = rp.maintain()["actions"]
-                    if args.index_blooms:
-                        line["blooms_built"] = rp.build_key_blooms()["built"]
                     if gate is not None and gate_line is not None:
                         line["dedup_gate"] = gate_line
                     print(json.dumps(line), flush=True)

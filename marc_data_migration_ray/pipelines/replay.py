@@ -98,7 +98,6 @@ _ROW_COLS = _DISPLAY_COLS + ["extra_json"]
 #: cost). Any value above rows-per-file collapses each file to one group;
 #: the writer's buffering is bounded by the task's own block size.
 _ROW_GROUP_SIZE = 1 << 20
-DELTA_ROUTES = ("applied", "fuzzy", "local")
 
 
 #: target parsed-block size for the ingest write. Fewer, larger blocks keep
@@ -3178,7 +3177,7 @@ class Replayer:
                       "max_bucket_bytes", "epoch_dirs_unmerged")
 
     def maintain(self, apply_repartition: bool = False,
-                 max_rounds: int = 3, build_blooms: bool = True) -> dict:
+                 max_rounds: int = 3) -> dict:
         """Auto-optimize (the ops ``OPTIMIZE``): execute
         ``explain_layout``'s recommendations until the diagnostic is
         clean — ``compact()`` when active deltas outweigh the base (it
@@ -3190,10 +3189,10 @@ class Replayer:
         takes no actions). State is bit-identical before/after — every
         action is one of the engine's proven-equivalent maintenance ops.
 
-        ``build_blooms`` (default on) finishes with ``build_key_blooms``,
-        the backfill of ``.keybloom`` sidecars for tables written before
-        ingest and ``compact_deltas`` wrote their own; on a table written
-        by this code it finds nothing to build."""
+        Finishes with ``build_key_blooms``, the backfill of ``.keybloom``
+        sidecars for tables written before ingest and ``compact_deltas``
+        wrote their own; on a table written by this code it finds nothing
+        to build."""
         before = {k: None for k in self._MAINTAIN_KEYS}
         actions: list[str] = []
         for rnd in range(max_rounds):
@@ -3222,11 +3221,10 @@ class Replayer:
             "after": {k: after[k] for k in self._MAINTAIN_KEYS},
             "remaining_recommendations": after["recommendations"],
         }
-        if build_blooms:
-            bl = self.build_key_blooms()
-            if bl["built"]:
-                actions.append(f"build_key_blooms() [{bl['built']} files]")
-            out["key_blooms"] = bl
+        bl = self.build_key_blooms()
+        if bl["built"]:
+            actions.append(f"build_key_blooms() [{bl['built']} files]")
+        out["key_blooms"] = bl
         return out
 
     def fsck(self, deep: bool = False) -> dict:

@@ -1,21 +1,30 @@
-"""Incrementally-maintained materialized aggregate views over a Replayer
-table, driven by the change-data feed.
+"""Incrementally-maintained materialized views over a Replayer table,
+driven by the change-data feed.
 
-``AggView(root, rp, keys, sums)`` materializes
-``GROUP BY keys → (n_rows, <col>_sum ...)`` over the CURRENT state for any
-key/sum columns the change feed carries (``source``, ``status`` /
-``n_tok``, ``last_lsn``). After the first build it is maintained from
-``changes_between`` alone — the base table is never re-folded:
+Every view is a :class:`_View`, which owns the one commit protocol;
+the concrete classes supply only their kernels:
 
-* full build (first refresh, or when compaction swallowed the last
-  refreshed epoch): distributed per-batch partial aggregation over the
-  fold output → one tiny ``groupby(keys).sum``;
-* incremental refresh: each change row contributes SIGNED deltas —
-  ``+after`` for inserts, ``-before`` for deletes, both for updates (so
-  a key-changing update moves the row between groups) — aggregated per
-  batch, then merged with the stored aggregate. Work is O(changes),
-  not O(table): the scale property that makes a 100-TB view cheap to
-  keep fresh under a trickle of updates.
+* ``AggView(root, rp, keys, sums)`` materializes
+  ``GROUP BY keys → (n_rows, <col>_sum ...)`` over the CURRENT state for
+  any key/sum columns the change feed carries (``source``, ``status`` /
+  ``n_tok``, ``last_lsn``);
+* ``PostingsView`` (token → doc_ids), ``ScalarIndexView`` (scalar
+  column → doc_ids) and ``MinHashIndexView`` (banded MinHash signature
+  → doc_ids) are SET-valued indexes (:class:`_SignedSetView`).
+
+Refresh (``_View.refresh``), one path for every kind:
+
+* full build (first refresh, or when compaction swallowed or a rollback
+  invalidated the last refreshed epoch): the view's full kernel runs
+  per batch over the fold output, then its ``_build`` hook;
+* incremental refresh: the delta kernel runs per batch over
+  ``changes_between`` alone — the base table is never re-folded. Each
+  change row contributes SIGNED deltas — ``+after`` for inserts,
+  ``-before`` for deletes, both for updates (so a key-changing update
+  moves the row between groups) — which ``_build`` merges with the
+  stored version. Work is O(changes), not O(table): the scale property
+  that makes a 100-TB view cheap to keep fresh under a trickle of
+  updates.
 
 Only count/sum aggregates are supported — they are the self-maintainable
 ones (a min/max view cannot be maintained under deletes without
@@ -25,17 +34,24 @@ Null sum values contribute 0 on both paths (sum skips nulls on the full
 path; explicit fill on the incremental path), so the two paths are
 exactly equivalent — asserted in tests.
 
-Commit protocol: the aggregate parquet lands in ``v{epoch}/`` and a JSON
-``CURRENT`` marker is swapped in via tmp-file + ``os.replace`` (atomic
-on POSIX) — same crash discipline as the table manifest; a torn refresh
-leaves the previous version current. Single-writer by design (views are
-derived data; rebuild is always safe).
+Storage and commit protocol: ``META.json`` records the view's ``kind``
+and parameters (sticky across reopen; ``open_view`` reconstructs any
+view from it). Each refresh builds its version in a ``_tmp_*`` dir,
+renames it to a version dir no earlier refresh used (``v{epoch}``, or
+``v{epoch}_{k}`` when that name is taken), and swaps in a JSON
+``CURRENT`` marker via tmp-file + ``os.replace`` (atomic on POSIX) —
+the same crash discipline as the table manifest. The dir ``CURRENT``
+names is never deleted or overwritten, so a reader sees either the old
+version or the new one and a torn refresh leaves the previous version
+current. Single-writer by design (views are derived data; rebuild is
+always safe).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -51,65 +67,229 @@ FEED_KEY_COLS = ("source", "status")
 FEED_SUM_COLS = ("n_tok", "last_lsn")
 
 
-class AggView:
-    """Materialized ``GROUP BY keys → (n_rows, <sum>_sum...)`` view."""
+def _write_json(path: str, obj: dict) -> None:
+    """Atomic JSON write: tmp file + ``os.replace``."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(json.dumps(obj))
+    os.replace(tmp, path)
 
-    def __init__(self, root: str, replayer, keys=None, sums=None):
-        # sticky meta: a reopened view keeps the keys/sums it was built
-        # with (and records its kind so ``open_view`` can reconstruct it).
-        # Omitted args (None) adopt the stored definition; EXPLICIT args
-        # that mismatch the stored META raise — silently refreshing a
-        # different view than the caller asked for is a correctness trap.
-        meta_p = os.path.join(root, "META.json")
-        if os.path.exists(meta_p):
-            meta = json.loads(open(meta_p).read())
-            if meta.get("kind") != "agg":
-                raise ValueError(
-                    f"{root}: stored view kind is {meta.get('kind')!r}, "
-                    "not 'agg' — refreshing it as AggView would overwrite "
-                    "another view's data")
-            stored = (tuple(meta["keys"]), tuple(meta["sums"]))
-            for name, want in (("keys", keys), ("sums", sums)):
-                got = stored[0] if name == "keys" else stored[1]
-                if want is not None and tuple(want) != got:
-                    raise ValueError(
-                        f"{root}: view was built with {name}={got}, "
-                        f"caller passed {name}={tuple(want)} — reopen with "
-                        "matching args (or omit them) or use a new root"
-                    )
-            keys, sums = stored
-        else:
-            keys = ("source",) if keys is None else keys
-            sums = ("n_tok",) if sums is None else sums
-        for k in keys:
-            if k not in FEED_KEY_COLS:
-                raise ValueError(f"key {k!r} not in change feed {FEED_KEY_COLS}")
-        for s in sums:
-            if s not in FEED_SUM_COLS:
-                raise ValueError(f"sum {s!r} not in change feed {FEED_SUM_COLS}")
-        if not keys:
-            raise ValueError("need at least one key column")
+
+def _current(root: str) -> dict | None:
+    """The view's ``CURRENT`` marker, or None before the first refresh."""
+    p = os.path.join(root, "CURRENT")
+    if not os.path.exists(p):
+        return None
+    with open(p) as f:
+        return json.load(f)
+
+
+class _View:
+    """The view protocol shared by every kind: sticky ``META.json``,
+    the ``CURRENT`` marker, ``refresh`` and the version publish.
+
+    Subclasses set ``KIND`` and supply:
+
+    * ``_full_kernel(t)`` — per-batch map over fold-output rows;
+    * ``_delta_kernel(t)`` — per-batch map over change-feed rows
+      (``changes_between(**_feed_kwargs())``);
+    * ``_build(rows, stored, out)`` — consume the mapped Dataset (merged
+      with the version dir ``stored`` on an incremental refresh, None on
+      a full build), write the new version into ``out`` and return the
+      refresh stats;
+    * ``_noop_stats(vdir)`` — the same stats for a refresh with nothing
+      to do, read from the current version dir.
+    """
+
+    KIND = ""
+
+    def __init__(self, root: str, replayer, defaults: dict,
+                 explicit: dict):
+        """``defaults`` seeds a NEW view's META; ``explicit`` holds only
+        the params the caller actually passed — on reopen these are
+        validated against the stored META (mismatch raises; silently
+        maintaining a different view than asked for is a correctness
+        trap). Omitted params adopt the stored definition. Subclasses
+        validate their params BEFORE calling this: META that lands with
+        bad params poisons the root for every reopen."""
         self.root = root
         self.rp = replayer
-        self.keys = tuple(keys)
-        self.sums = tuple(sums)
-        if not os.path.exists(meta_p):
-            os.makedirs(root, exist_ok=True)
-            tmp = meta_p + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(json.dumps({"kind": "agg", "keys": list(self.keys),
-                                    "sums": list(self.sums)}))
-            os.replace(tmp, meta_p)
+        os.makedirs(root, exist_ok=True)
+        meta_p = os.path.join(root, "META.json")
+        if os.path.exists(meta_p):
+            with open(meta_p) as f:
+                self.meta = json.load(f)
+            got_kind = self.meta.get("kind")
+            if got_kind != self.KIND:
+                raise ValueError(
+                    f"{root}: stored view kind is {got_kind!r}, not "
+                    f"{self.KIND!r} — refreshing it as this class would "
+                    "overwrite another view's data")
+            for k, want in explicit.items():
+                got = self.meta.get(k)
+                if want != got:
+                    raise ValueError(
+                        f"{root}: view was built with {k}={got!r}, caller "
+                        f"passed {k}={want!r} — reopen with matching args "
+                        "(or omit them) or use a new root"
+                    )
+        else:
+            self.meta = {"kind": self.KIND, **defaults, **explicit}
+            _write_json(meta_p, self.meta)
+
+    # ------------------------------------------------------ subclass API --
+    def _full_kernel(self, t: pa.Table) -> pa.Table:
+        raise NotImplementedError
+
+    def _delta_kernel(self, t: pa.Table) -> pa.Table:
+        raise NotImplementedError
+
+    def _feed_kwargs(self) -> dict:
+        return {}
+
+    def _build(self, rows: ray.data.Dataset, stored: str | None,
+               out: str) -> dict:
+        raise NotImplementedError
+
+    def _noop_stats(self, vdir: str) -> dict:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------- state --
+    def last_epoch(self) -> int | None:
+        cur = _current(self.root)
+        return None if cur is None else cur["epoch"]
+
+    def vacuum_versions(self, retain: int = 1) -> dict:
+        return vacuum_view_versions(self.root, retain)
+
+    def _version_dir(self) -> str:
+        """Path of the version ``CURRENT`` names."""
+        cur = _current(self.root)
+        if cur is None:
+            raise ValueError("view was never refreshed")
+        return os.path.join(self.root, cur["dir"])
+
+    def _unused_version(self, epoch: int) -> str:
+        """``v{epoch}``, or ``v{epoch}_{k}`` when a dir of that name
+        exists — a full rebuild to the epoch ``CURRENT`` already names
+        (epoch number reused after a rollback), or a superseded version
+        left from before one. Publishing never deletes or overwrites a
+        version a reader may hold; vacuum reclaims the superseded ones."""
+        name, k = f"v{epoch}", 0
+        while os.path.exists(os.path.join(self.root, name)):
+            k += 1
+            name = f"v{epoch}_{k}"
+        return name
+
+    # ----------------------------------------------------------- refresh --
+    def refresh(self, to_epoch: int | None = None) -> dict:
+        cur = _current(self.root)
+        to_epoch, last = _refresh_target(self.rp, cur, to_epoch)
+        if last == to_epoch:
+            return {"epoch": to_epoch, "mode": "noop",
+                    **self._noop_stats(self._version_dir())}
+
+        if last is None or last < self.rp.manifest.last_compacted_epoch():
+            # full build (first refresh, or the incremental base epoch was
+            # compacted away / rolled back and can no longer be diffed).
+            # Reads the raw fold rows — CANONICAL column names, pre-policy
+            # — because that is exactly what the change feed carries;
+            # building from read_state would bake policy/rename transforms
+            # into the full path that incremental refreshes could never
+            # reproduce.
+            rows = self.rp.fold_output(up_to_epoch=to_epoch)
+            kernel, stored, mode = self._full_kernel, None, "full"
+        else:
+            rows = self.rp.changes_between(last, to_epoch,
+                                           **self._feed_kwargs())
+            kernel, mode = self._delta_kernel, "incremental"
+            stored = os.path.join(self.root, cur["dir"])
+
+        vdir = self._unused_version(to_epoch)
+        tmp = os.path.join(self.root, f"_tmp_{vdir}")
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(tmp)
+        stats = self._build(
+            rows.map_batches(kernel, batch_format="pyarrow",
+                             zero_copy_batch=True),
+            stored, tmp)
+        os.rename(tmp, os.path.join(self.root, vdir))
+        _write_json(os.path.join(self.root, "CURRENT"),
+                    {"epoch": to_epoch, "dir": vdir,
+                     "fp": _epoch_fp(self.rp, to_epoch)})
+        return {"epoch": to_epoch, "mode": mode, **stats}
+
+
+def _epoch_fp(rp, epoch: int) -> list:
+    """Identity of a committed epoch beyond its NUMBER: a rollback
+    followed by re-ingest can re-commit the same epoch number with
+    DIFFERENT data, which a number-only check cannot see (code-review
+    r5) — the view would then silently maintain from a stale base.
+    (max_lsn, rows, processed) pins the entry's content for practical
+    purposes; identical re-commits of identical binlogs keep the view
+    valid by construction."""
+    e = rp.manifest.epoch_entry(epoch) or {}
+    return [e.get("max_lsn"), e.get("rows"), e.get("processed")]
+
+
+def _refresh_target(rp, cur: dict | None, to_epoch: int | None):
+    """View-refresh preconditions: resolve the target epoch,
+    invalidate a rolled-back OR rolled-back-and-reused base epoch
+    (→ full rebuild), reject a backwards refresh. ``cur`` is the view's
+    CURRENT marker dict (or None). Returns (to_epoch, last)."""
+    last = None if cur is None else cur["epoch"]
+    committed = rp.manifest.committed_epochs()
+    if not committed:
+        raise ValueError("table has no committed epochs")
+    if to_epoch is None:
+        to_epoch = max(committed)
+    if not rp.manifest.is_committed(to_epoch):
+        raise ValueError(f"epoch {to_epoch} is not committed")
+    if last is not None and not rp.manifest.is_committed(last):
+        # the view's base epoch was rolled back: the stored state reflects
+        # data that no longer exists — full rebuild
+        last = None
+    if last is not None:
+        fp = cur.get("fp")
+        if fp is not None and fp != _epoch_fp(rp, last):
+            # same epoch NUMBER, different data: rolled back and re-
+            # ingested since the last refresh — full rebuild
+            last = None
+    if last is not None and to_epoch < last:
+        raise ValueError(f"view is already at epoch {last} > {to_epoch}")
+    return to_epoch, last
+
+
+class AggView(_View):
+    """Materialized ``GROUP BY keys → (n_rows, <sum>_sum...)`` view,
+    stored as one ``agg.parquet`` per version."""
+
+    KIND = "agg"
+
+    def __init__(self, root: str, replayer, keys=None, sums=None):
+        explicit = {k: list(v) for k, v in (("keys", keys), ("sums", sums))
+                    if v is not None}
+        params = {"keys": ["source"], "sums": ["n_tok"], **explicit}
+        for k in params["keys"]:
+            if k not in FEED_KEY_COLS:
+                raise ValueError(f"key {k!r} not in change feed {FEED_KEY_COLS}")
+        for s in params["sums"]:
+            if s not in FEED_SUM_COLS:
+                raise ValueError(f"sum {s!r} not in change feed {FEED_SUM_COLS}")
+        if not params["keys"]:
+            raise ValueError("need at least one key column")
+        super().__init__(root, replayer, params, explicit)
+        self.keys = tuple(self.meta["keys"])
+        self.sums = tuple(self.meta["sums"])
         self.out_cols = [f"{s}_sum" for s in self.sums]
         self.schema = pa.schema(
             [(k, pa.string()) for k in self.keys]
             + [("n_rows", pa.int64())]
             + [(c, pa.int64()) for c in self.out_cols]
         )
-        os.makedirs(root, exist_ok=True)
 
     # ------------------------------------------------------------ kernels --
-    def _partial(self, t: pa.Table) -> pa.Table:
+    def _full_kernel(self, t: pa.Table) -> pa.Table:
         cols = {k: t[k] for k in self.keys}
         cols["one"] = pa.array([1] * t.num_rows, pa.int64())
         for s in self.sums:
@@ -117,7 +297,7 @@ class AggView:
         aggs = [("one", "sum")] + [(s, "sum") for s in self.sums]
         return pa.table(cols).group_by(list(self.keys)).aggregate(aggs)
 
-    def _delta_partial(self, t: pa.Table) -> pa.Table:
+    def _delta_kernel(self, t: pa.Table) -> pa.Table:
         """Signed per-change deltas: -before for delete/update, +after for
         insert/update (vectorized: one concat of the two signed halves)."""
         has_after = pc.is_in(t["change"], value_set=pa.array(["insert", "update"]))
@@ -153,135 +333,44 @@ class AggView:
             # a changeless refresh range (empty committed epoch, no-op
             # merge) yields ZERO aggregate batches — publish an empty
             # version instead of crashing concat (code-review r5)
-            t = pa.table({
-                **{k: pa.array([], pa.string()) for k in self.keys},
-                "n_rows": pa.array([], pa.int64()),
-                **{c: pa.array([], pa.int64()) for c in self.out_cols},
-            })
+            t = self.schema.empty_table()
         cols = {k: pc.cast(t[k], pa.string()) for k in self.keys}
         cols["n_rows"] = pc.cast(t["n_rows"], pa.int64())
         for c in self.out_cols:
             cols[c] = pc.cast(t[c], pa.int64())
         return pa.table(cols).sort_by([(k, "ascending") for k in self.keys])
 
-    # ------------------------------------------------------------- state --
-    def _current(self) -> dict | None:
-        p = os.path.join(self.root, "CURRENT")
-        if not os.path.exists(p):
-            return None
-        return json.loads(open(p).read())
+    def _merge(self, stored: pa.Table, delta: pa.Table) -> pa.Table:
+        """Stored aggregate + signed delta aggregate; groups whose row
+        count cancels to 0 drop out."""
+        sum_cols = ["n_rows"] + self.out_cols
+        both = pa.concat_tables([stored, delta]).group_by(
+            list(self.keys)
+        ).aggregate([(c, "sum") for c in sum_cols])
+        both = both.filter(pc.not_equal(both["n_rows_sum"], 0))
+        cols = {k: pc.cast(both[k], pa.string()) for k in self.keys}
+        for c in sum_cols:
+            cols[c] = pc.cast(both[f"{c}_sum"], pa.int64())
+        return pa.table(cols).sort_by([(k, "ascending") for k in self.keys])
 
-    def last_epoch(self) -> int | None:
-        cur = self._current()
-        return None if cur is None else cur["epoch"]
+    def _build(self, partials: ray.data.Dataset, stored: str | None,
+               out: str) -> dict:
+        agg = self._finish(partials)
+        if stored is not None:
+            agg = self._merge(
+                pq.read_table(os.path.join(stored, "agg.parquet")), agg)
+        pq.write_table(agg.cast(self.schema), os.path.join(out, "agg.parquet"))
+        return {"rows": len(agg)}
 
-    def vacuum_versions(self, retain: int = 1) -> dict:
-        return vacuum_view_versions(self.root, retain)
+    def _noop_stats(self, vdir: str) -> dict:
+        return {"rows": pq.read_metadata(
+            os.path.join(vdir, "agg.parquet")).num_rows}
 
     def read(self) -> pa.Table:
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
-        return pq.read_table(os.path.join(self.root, cur["dir"], "agg.parquet"))
-
-    # ----------------------------------------------------------- refresh --
-    def refresh(self, to_epoch: int | None = None) -> dict:
-        to_epoch, last = _refresh_target(self.rp, self._current(), to_epoch)
-        if last == to_epoch:
-            cur = self._current()
-            n = pq.read_metadata(os.path.join(
-                self.root, cur["dir"], "agg.parquet")).num_rows
-            return {"epoch": to_epoch, "mode": "noop", "rows": n}
-
-        floor = self.rp.manifest.last_compacted_epoch()
-        if last is None or last < floor:
-            # full build (first refresh, or the incremental base epoch was
-            # compacted away and can no longer be folded). Reads the raw
-            # fold rows — CANONICAL column names, pre-policy — because
-            # that is exactly what the change feed carries; building from
-            # read_state would bake policy/rename transforms into the full
-            # path that incremental refreshes could never reproduce.
-            partials = self.rp.fold_output(up_to_epoch=to_epoch).map_batches(
-                self._partial, batch_format="pyarrow", zero_copy_batch=True
-            )
-            agg = self._finish(partials)
-            mode = "full"
-        else:
-            deltas = self.rp.changes_between(last, to_epoch).map_batches(
-                self._delta_partial, batch_format="pyarrow", zero_copy_batch=True
-            )
-            merged = self._finish(deltas)
-            stored = self.read()
-            sum_cols = ["n_rows"] + self.out_cols
-            both = pa.concat_tables([stored, merged]).group_by(
-                list(self.keys)
-            ).aggregate([(c, "sum") for c in sum_cols])
-            both = both.filter(pc.not_equal(both["n_rows_sum"], 0))
-            cols = {k: pc.cast(both[k], pa.string()) for k in self.keys}
-            for c in sum_cols:
-                cols[c] = pc.cast(both[f"{c}_sum"], pa.int64())
-            agg = pa.table(cols).sort_by(
-                [(k, "ascending") for k in self.keys]
-            )
-            mode = "incremental"
-
-        vdir = f"v{to_epoch}"
-        tmp = os.path.join(self.root, f"_tmp_{vdir}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        pq.write_table(agg.cast(self.schema), os.path.join(tmp, "agg.parquet"))
-        final = os.path.join(self.root, vdir)
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(tmp, final)
-        marker_tmp = os.path.join(self.root, "_CURRENT.tmp")
-        with open(marker_tmp, "w") as f:
-            f.write(json.dumps({"epoch": to_epoch, "dir": vdir,
-                                "fp": _epoch_fp(self.rp, to_epoch)}))
-        os.replace(marker_tmp, os.path.join(self.root, "CURRENT"))
-        return {"epoch": to_epoch, "mode": mode, "rows": len(agg)}
+        return pq.read_table(os.path.join(self._version_dir(), "agg.parquet"))
 
 
-def _epoch_fp(rp, epoch: int) -> list:
-    """Identity of a committed epoch beyond its NUMBER: a rollback
-    followed by re-ingest can re-commit the same epoch number with
-    DIFFERENT data, which a number-only check cannot see (code-review
-    r5) — the view would then silently maintain from a stale base.
-    (max_lsn, rows, processed) pins the entry's content for practical
-    purposes; identical re-commits of identical binlogs keep the view
-    valid by construction."""
-    e = rp.manifest.epoch_entry(epoch) or {}
-    return [e.get("max_lsn"), e.get("rows"), e.get("processed")]
-
-
-def _refresh_target(rp, cur: dict | None, to_epoch: int | None):
-    """Shared view-refresh preconditions: resolve the target epoch,
-    invalidate a rolled-back OR rolled-back-and-reused base epoch
-    (→ full rebuild), reject a backwards refresh. ``cur`` is the view's
-    CURRENT marker dict (or None). Returns (to_epoch, last)."""
-    last = None if cur is None else cur["epoch"]
-    committed = rp.manifest.committed_epochs()
-    if not committed:
-        raise ValueError("table has no committed epochs")
-    if to_epoch is None:
-        to_epoch = max(committed)
-    if not rp.manifest.is_committed(to_epoch):
-        raise ValueError(f"epoch {to_epoch} is not committed")
-    if last is not None and not rp.manifest.is_committed(last):
-        # the view's base epoch was rolled back: the stored state reflects
-        # data that no longer exists — full rebuild
-        last = None
-    if last is not None:
-        fp = cur.get("fp")
-        if fp is not None and fp != _epoch_fp(rp, last):
-            # same epoch NUMBER, different data: rolled back and re-
-            # ingested since the last refresh — full rebuild
-            last = None
-    if last is not None and to_epoch < last:
-        raise ValueError(f"view is already at epoch {last} > {to_epoch}")
-    return to_epoch, last
-
-
-class _SignedSetView:
+class _SignedSetView(_View):
     """Shared machinery for SET-valued incremental views: bucketed
     ``(value, doc_id)`` parquet maintained by SIGNED membership deltas
     from the change feed. Per touched bucket: stored entries (weight 1)
@@ -291,16 +380,13 @@ class _SignedSetView:
     touched bucket bytes), never O(table) — the property that keeps a
     100-TB secondary index fresh under a trickle of updates.
 
-    Storage: ``v{epoch}/bucket=<b>.parquet`` + the same atomic tmp-dir +
-    ``CURRENT``-marker commit protocol as :class:`AggView` (a torn
-    refresh leaves the previous version current). Full build (first
-    refresh, or the base epoch was compacted away / rolled back):
-    fold-output rows → exploded pairs → ONE shuffle
-    (``groupby(bucket)``) → one sorted file per bucket.
+    Storage: ``v{epoch}/bucket=<b>.parquet`` under the :class:`_View`
+    commit protocol. Full build: fold-output rows → exploded pairs →
+    ONE shuffle (``groupby(bucket)``) → one sorted file per bucket.
 
-    Subclasses define ``VALUE_COL``, ``_value_type()``, the pair kernels
-    ``_full_pairs`` / ``_delta_pairs`` (emitting
-    (bucket:int64, VALUE_COL, doc_id, sign)) and ``_feed_kwargs()``.
+    Subclasses define ``VALUE_COL``, ``_value_type()`` and the pair
+    kernels ``_full_kernel`` / ``_delta_kernel`` (emitting
+    (bucket:int64, VALUE_COL, doc_id, sign)).
 
     Multi-node note: bucket-merge tasks read the stored bucket file by
     path, so the view root must be on storage every worker can read —
@@ -309,53 +395,8 @@ class _SignedSetView:
 
     VALUE_COL = "value"
 
-    def __init__(self, root: str, replayer, meta_defaults: dict,
-                 explicit: dict | None = None):
-        """``meta_defaults`` seeds a NEW view's META; ``explicit`` holds
-        only the params the caller actually passed — on reopen these are
-        validated against the stored META (mismatch raises; silently
-        maintaining a different index than asked for is a correctness
-        trap). Omitted params adopt the stored definition."""
-        self.root = root
-        self.rp = replayer
-        os.makedirs(root, exist_ok=True)
-        meta_p = os.path.join(root, "META.json")
-        if os.path.exists(meta_p):
-            self.meta = json.loads(open(meta_p).read())
-            want_kind = meta_defaults.get("kind")
-            got_kind = self.meta.get("kind")
-            if want_kind is not None and got_kind != want_kind:
-                raise ValueError(
-                    f"{root}: stored view kind is {got_kind!r}, not "
-                    f"{want_kind!r} — refreshing it as this class would "
-                    "overwrite another view's data")
-            for k, want in (explicit or {}).items():
-                got = self.meta.get(k)
-                if want != got:
-                    raise ValueError(
-                        f"{root}: view was built with {k}={got!r}, caller "
-                        f"passed {k}={want!r} — reopen with matching args "
-                        "(or omit them) or use a new root"
-                    )
-        else:
-            self.meta = dict(meta_defaults)
-            tmp = meta_p + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(json.dumps(self.meta))
-            os.replace(tmp, meta_p)
-
-    # ------------------------------------------------------ subclass API --
     def _value_type(self) -> pa.DataType:
         raise NotImplementedError
-
-    def _full_pairs(self, t: pa.Table) -> pa.Table:
-        raise NotImplementedError
-
-    def _delta_pairs(self, t: pa.Table) -> pa.Table:
-        raise NotImplementedError
-
-    def _feed_kwargs(self) -> dict:
-        return {}
 
     def _pairs_schema(self) -> pa.Schema:
         return pa.schema(
@@ -363,22 +404,9 @@ class _SignedSetView:
              ("doc_id", pa.string()), ("sign", pa.int64())]
         )
 
-    # ------------------------------------------------------------- state --
-    def _current(self) -> dict | None:
-        p = os.path.join(self.root, "CURRENT")
-        if not os.path.exists(p):
-            return None
-        return json.loads(open(p).read())
-
-    def last_epoch(self) -> int | None:
-        cur = self._current()
-        return None if cur is None else cur["epoch"]
-
-    def vacuum_versions(self, retain: int = 1) -> dict:
-        return vacuum_view_versions(self.root, retain)
-
-    def _bucket_files(self, vdir: str) -> dict[int, str]:
-        d = os.path.join(self.root, vdir)
+    def _bucket_files(self, d: str | None = None) -> dict[int, str]:
+        """bucket → file of version dir ``d`` (default: the current one)."""
+        d = self._version_dir() if d is None else d
         out = {}
         for f in os.listdir(d):
             if f.startswith("bucket=") and f.endswith(".parquet"):
@@ -387,10 +415,7 @@ class _SignedSetView:
 
     def read(self) -> pa.Table:
         """Full index table, sorted by (value, doc_id)."""
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
-        files = sorted(self._bucket_files(cur["dir"]).items())
+        files = sorted(self._bucket_files().items())
         if not files:
             return pa.table(
                 {self.VALUE_COL: pa.array([], self._value_type()),
@@ -401,44 +426,16 @@ class _SignedSetView:
             [(self.VALUE_COL, "ascending"), ("doc_id", "ascending")]
         )
 
-    # ----------------------------------------------------------- refresh --
-    def refresh(self, to_epoch: int | None = None) -> dict:
-        to_epoch, last = _refresh_target(self.rp, self._current(), to_epoch)
-        if last == to_epoch:
-            return {"epoch": to_epoch, "mode": "noop",
-                    "touched_buckets": 0}
-
-        floor = self.rp.manifest.last_compacted_epoch()
-        stored_dir = None
-        if last is None or last < floor:
-            # full build from the raw fold rows (canonical names, as the
-            # change feed carries them)
-            pairs = self.rp.fold_output(up_to_epoch=to_epoch).map_batches(
-                self._full_pairs, batch_format="pyarrow", zero_copy_batch=True
-            )
-            mode = "full"
-        else:
-            feed = self.rp.changes_between(
-                last, to_epoch, **self._feed_kwargs()
-            )
-            pairs = feed.map_batches(
-                self._delta_pairs, batch_format="pyarrow", zero_copy_batch=True
-            )
-            stored_dir = os.path.join(self.root, self._current()["dir"])
-            mode = "incremental"
-
-        vdir = f"v{to_epoch}"
-        tmp = os.path.join(self.root, f"_tmp_{vdir}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
+    def _build(self, pairs: ray.data.Dataset, stored: str | None,
+               out: str) -> dict:
         vcol = self.VALUE_COL
 
-        def _merge_bucket(g: pa.Table, stored_dir=stored_dir, tmp=tmp,
+        def _merge_bucket(g: pa.Table, stored=stored, out=out,
                           vcol=vcol) -> pa.Table:
             b = int(g["bucket"][0].as_py())
             parts = [g.select([vcol, "doc_id", "sign"])]
-            if stored_dir is not None:
-                f = os.path.join(stored_dir, f"bucket={b}.parquet")
+            if stored is not None:
+                f = os.path.join(stored, f"bucket={b}.parquet")
                 if os.path.exists(f):
                     st = pq.read_table(f)
                     parts.append(
@@ -453,7 +450,7 @@ class _SignedSetView:
                 [(vcol, "ascending"), ("doc_id", "ascending")]
             )
             # retries may re-run a bucket: unique tmp name + atomic replace
-            out_f = os.path.join(tmp, f"bucket={b}.parquet")
+            out_f = os.path.join(out, f"bucket={b}.parquet")
             tmp_f = f"{out_f}.{os.getpid()}.tmp"
             pq.write_table(keep, tmp_f)
             os.replace(tmp_f, out_f)
@@ -466,27 +463,21 @@ class _SignedSetView:
             _merge_bucket, batch_format="pyarrow"
         )
         touched = {int(r["bucket"]) for r in markers.take_all()}
-        if stored_dir is not None:
+        if stored is not None:
             # forward untouched buckets by hardlink — no data movement;
             # copy on filesystems without hardlink support (network /
             # object-store mounts), mirroring Replayer.clone
-            for b, f in self._bucket_files(self._current()["dir"]).items():
+            for b, f in self._bucket_files(stored).items():
                 if b not in touched:
-                    dst = os.path.join(tmp, f"bucket={b}.parquet")
+                    dst = os.path.join(out, f"bucket={b}.parquet")
                     try:
                         os.link(f, dst)
                     except OSError:
                         shutil.copy2(f, dst)
-        final = os.path.join(self.root, vdir)
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(tmp, final)
-        marker_tmp = os.path.join(self.root, "_CURRENT.tmp")
-        with open(marker_tmp, "w") as f:
-            f.write(json.dumps({"epoch": to_epoch, "dir": vdir,
-                                "fp": _epoch_fp(self.rp, to_epoch)}))
-        os.replace(marker_tmp, os.path.join(self.root, "CURRENT"))
-        return {"epoch": to_epoch, "mode": mode,
-                "touched_buckets": len(touched)}
+        return {"touched_buckets": len(touched)}
+
+    def _noop_stats(self, vdir: str) -> dict:
+        return {"touched_buckets": 0}
 
 
 class PostingsView(_SignedSetView):
@@ -497,21 +488,17 @@ class PostingsView(_SignedSetView):
     Buckets: ``token mod n_buckets``. Incremental refresh rides the
     PAYLOAD change feed (``with_payload + with_before_payload``): +1 per
     distinct token of an insert/update after-image, -1 per distinct token
-    of a delete/update before-image (cancel arithmetic and commit
-    protocol in :class:`_SignedSetView`)."""
+    of a delete/update before-image (cancel arithmetic in
+    :class:`_SignedSetView`)."""
 
+    KIND = "postings"
     VALUE_COL = "token"
 
     def __init__(self, root: str, replayer, n_buckets: int | None = None):
         if n_buckets is not None and n_buckets < 1:
             raise ValueError("n_buckets must be >= 1")
         explicit = {} if n_buckets is None else {"n_buckets": int(n_buckets)}
-        super().__init__(
-            root, replayer,
-            {"kind": "postings",
-             "n_buckets": 16 if n_buckets is None else int(n_buckets)},
-            explicit=explicit,
-        )
+        super().__init__(root, replayer, {"n_buckets": 16}, explicit)
         self.n_buckets = int(self.meta["n_buckets"])
 
     def _value_type(self) -> pa.DataType:
@@ -540,14 +527,14 @@ class PostingsView(_SignedSetView):
             pl.lit(sign).cast(pl.Int64).alias("sign"),
         )
 
-    def _full_pairs(self, t: pa.Table) -> pa.Table:
+    def _full_kernel(self, t: pa.Table) -> pa.Table:
         import polars as pl
 
         df = pl.from_arrow(t.select(["doc_id", "tokens"]))
         return self._explode(df, "tokens", 1).to_arrow().cast(
             self._pairs_schema())
 
-    def _delta_pairs(self, t: pa.Table) -> pa.Table:
+    def _delta_kernel(self, t: pa.Table) -> pa.Table:
         import polars as pl
 
         df = pl.from_arrow(
@@ -569,13 +556,10 @@ class PostingsView(_SignedSetView):
         the buckets the query tokens hash to."""
         if mode not in ("and", "or"):
             raise ValueError("mode must be 'and' or 'or'")
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
+        files = self._bucket_files()
         toks = sorted({int(x) for x in tokens})
         if not toks:
             return []
-        files = self._bucket_files(cur["dir"])
         sets: list[set] = []
         for tok in toks:
             f = files.get(tok % self.n_buckets)
@@ -612,6 +596,7 @@ class ScalarIndexView(_SignedSetView):
     PUBLIC state name but not the feed images, so the index keeps
     maintaining under its original name."""
 
+    KIND = "scalar_index"
     VALUE_COL = "value"
 
     def __init__(self, root: str, replayer, column: str | None = None,
@@ -634,11 +619,8 @@ class ScalarIndexView(_SignedSetView):
             ) if v is not None
         }
         super().__init__(root, replayer, {
-            "kind": "scalar_index",
-            "column": "n_tok" if column is None else column,
-            "n_buckets": 16 if n_buckets is None else int(n_buckets),
-            "bin_width": 16 if bin_width is None else int(bin_width),
-        }, explicit=explicit)
+            "column": "n_tok", "n_buckets": 16, "bin_width": 16,
+        }, explicit)
         self.column = self.meta["column"]
         self.n_buckets = int(self.meta["n_buckets"])
         self.bin_width = int(self.meta["bin_width"])
@@ -654,8 +636,6 @@ class ScalarIndexView(_SignedSetView):
 
     # ------------------------------------------------------------ kernels --
     def _buckets_of(self, values: pa.ChunkedArray | pa.Array) -> pa.Array:
-        import numpy as np
-
         if self.is_int:
             v = pc.cast(values, pa.int64()).to_numpy(zero_copy_only=False)
             return pa.array(np.floor_divide(v, self.bin_width), pa.int64())
@@ -673,10 +653,10 @@ class ScalarIndexView(_SignedSetView):
              "sign": pa.array([sign] * keep.num_rows, pa.int64())}
         ).cast(self._pairs_schema())
 
-    def _full_pairs(self, t: pa.Table) -> pa.Table:
+    def _full_kernel(self, t: pa.Table) -> pa.Table:
         return self._pairs(t.select(["doc_id", self.column]), self.column, 1)
 
-    def _delta_pairs(self, t: pa.Table) -> pa.Table:
+    def _delta_kernel(self, t: pa.Table) -> pa.Table:
         add = self._pairs(
             t.filter(pc.is_in(t["change"],
                               value_set=pa.array(["insert", "update"])))
@@ -695,11 +675,9 @@ class ScalarIndexView(_SignedSetView):
     def docs_where_eq(self, value) -> list[str]:
         """doc_ids whose current column value equals ``value`` — reads one
         bucket file."""
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
+        files = self._bucket_files()
         b = self._buckets_of(pa.array([value], self._value_type()))[0].as_py()
-        f = self._bucket_files(cur["dir"]).get(b)
+        f = files.get(b)
         if f is None:
             return []
         t = pq.read_table(f, filters=[("value", "==", value)])
@@ -712,10 +690,7 @@ class ScalarIndexView(_SignedSetView):
             raise ValueError("range queries need an integer column")
         if hi < lo:
             return []
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
-        files = self._bucket_files(cur["dir"])
+        files = self._bucket_files()
         out = []
         for b in range(lo // self.bin_width, hi // self.bin_width + 1):
             f = files.get(b)
@@ -728,23 +703,24 @@ class ScalarIndexView(_SignedSetView):
         return sorted(out)
 
 
+#: a version dir: ``v{epoch}``, or ``v{epoch}_{k}`` (see _View._unused_version)
+_VERSION_DIR = re.compile(r"v(-?\d+)(?:_(\d+))?")
+
+
 def vacuum_view_versions(root: str, retain: int = 1) -> dict:
     """Reclaim superseded view versions: every refresh publishes a new
-    ``v{epoch}`` dir and swaps ``CURRENT`` — old dirs stay for concurrent
+    version dir and swaps ``CURRENT`` — old dirs stay for concurrent
     stale readers (same discipline as the table's snapshot retention).
     Keeps the CURRENT version plus the ``retain`` most recent superseded
     ones, and clears crashed refreshes' ``_tmp_*`` dirs. Views are
     single-writer by design — don't vacuum concurrently with a refresh."""
-    import re
-
-    cur = None
-    cur_p = os.path.join(root, "CURRENT")
-    if os.path.exists(cur_p):
-        cur = json.loads(open(cur_p).read())["dir"]
+    marker = _current(root)
+    cur = None if marker is None else marker["dir"]
     vdirs = sorted(
         (d for d in os.listdir(root)
-         if re.fullmatch(r"v-?\d+", d) and d != cur),
-        key=lambda d: int(d[1:]),
+         if _VERSION_DIR.fullmatch(d) and d != cur),
+        key=lambda d: tuple(
+            int(x or 0) for x in _VERSION_DIR.fullmatch(d).groups()),
     )
     drop_v = vdirs[:-retain] if retain else vdirs
     tmps = [d for d in os.listdir(root)
@@ -819,6 +795,31 @@ def _token_sigs_with(mh, tokens) -> tuple["np.ndarray", "np.ndarray"]:
     return np.repeat(keep, nb), sig.view(np.int64)
 
 
+def _probe_sig_buckets(files: dict[int, str], n_buckets: int,
+                       idx: np.ndarray, sig: np.ndarray) -> dict[int, set]:
+    """Row index → the index doc_ids sharing ≥1 signature entry with
+    that row, for the (row, sig) pairs of :func:`_token_sigs_with`.
+    Reads ONLY the buckets the sigs land in, filtered to those sigs at
+    the parquet scan. Shared by the point and the batch probe."""
+    by_bucket: dict[int, list[tuple[int, int]]] = {}
+    for i, s in zip(idx.tolist(), sig.tolist()):
+        by_bucket.setdefault(int(s % n_buckets), []).append((i, s))
+    hits: dict[int, set] = {}
+    for b, entries in sorted(by_bucket.items()):
+        f = files.get(b)
+        if f is None:
+            continue
+        want = sorted({s for _, s in entries})
+        t = pq.read_table(f, filters=[("sig", "in", want)])
+        sig_to_docs: dict[int, set] = {}
+        for s, d in zip(t["sig"].to_pylist(), t["doc_id"].to_pylist()):
+            sig_to_docs.setdefault(s, set()).add(d)
+        for i, s in entries:
+            if s in sig_to_docs:
+                hits.setdefault(i, set()).update(sig_to_docs[s])
+    return hits
+
+
 def _sig_collision_pairs(t: pa.Table, cap: int) -> tuple[list, int]:
     """Pairs from one sorted (sig, doc_id) bucket table (shared by the
     Ray task below and any in-process caller)."""
@@ -871,6 +872,7 @@ class MinHashIndexView(_SignedSetView):
     banded FNV) — so a pair's candidate-probability curve is the
     documented 16×4 banding one."""
 
+    KIND = "minhash_index"
     VALUE_COL = "sig"
 
     def __init__(self, root: str, replayer, n_buckets: int | None = None,
@@ -882,11 +884,9 @@ class MinHashIndexView(_SignedSetView):
              ("n_bands", n_bands), ("shingle", shingle))
             if v is not None
         }
-        # validate BEFORE META lands: persisting bad params poisons the
-        # root for every reopen incl. open_view (code-review r5); the
-        # sibling views reject n_buckets < 1 the same way
-        params = {"n_buckets": 16, "num_perm": 64, "n_bands": 16,
-                  "shingle": 3, **explicit}
+        defaults = {"n_buckets": 16, "num_perm": 64, "n_bands": 16,
+                    "shingle": 3}
+        params = {**defaults, **explicit}
         for k in ("n_buckets", "num_perm", "n_bands", "shingle"):
             if params[k] < 1:
                 raise ValueError(f"{k} must be >= 1, got {params[k]}")
@@ -894,11 +894,7 @@ class MinHashIndexView(_SignedSetView):
             raise ValueError(
                 f"n_bands ({params['n_bands']}) must divide num_perm "
                 f"({params['num_perm']})")
-        super().__init__(
-            root, replayer,
-            {"kind": "minhash_index", **params},
-            explicit=explicit,
-        )
+        super().__init__(root, replayer, defaults, explicit)
         self.n_buckets = int(self.meta["n_buckets"])
         from marc_data_migration_ray.pipelines.dedup import MinHasher
 
@@ -934,11 +930,11 @@ class MinHashIndexView(_SignedSetView):
             }
         )
 
-    def _full_pairs(self, t: pa.Table) -> pa.Table:
+    def _full_kernel(self, t: pa.Table) -> pa.Table:
         return self._sig_table(t["doc_id"], t["tokens"], 1).cast(
             self._pairs_schema())
 
-    def _delta_pairs(self, t: pa.Table) -> pa.Table:
+    def _delta_kernel(self, t: pa.Table) -> pa.Table:
         ch = t["change"]
         ta = t.filter(pc.is_in(
             ch, value_set=pa.array(["insert", "update"], pa.string())))
@@ -958,12 +954,9 @@ class MinHashIndexView(_SignedSetView):
         skipped pair count returned — no silent drops. One Ray task per
         bucket file (the driver only merges output-sized pair sets).
         Returns (set of (doc_a, doc_b) with doc_a < doc_b, n_dropped)."""
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
         refs = [
             _sig_bucket_pairs_task.remote(f, cap)
-            for _, f in sorted(self._bucket_files(cur["dir"]).items())
+            for _, f in sorted(self._bucket_files().items())
         ]
         pairs: set = set()
         dropped = 0
@@ -980,26 +973,9 @@ class MinHashIndexView(_SignedSetView):
             pa.list_(pa.int64()),
         )
         idx, sig = self._token_sigs(arr)
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
-        files = self._bucket_files(cur["dir"])
-        by_bucket: dict[int, list[tuple[int, int]]] = {}
-        for i, s in zip(idx.tolist(), sig.tolist()):
-            by_bucket.setdefault(int(s % self.n_buckets), []).append((i, s))
-        out: list[set] = [set() for _ in token_lists]
-        for b, entries in sorted(by_bucket.items()):
-            f = files.get(b)
-            if f is None:
-                continue
-            want = sorted({s for _, s in entries})
-            t = pq.read_table(f, filters=[("sig", "in", want)])
-            sig_to_docs: dict[int, set] = {}
-            for s, d in zip(t["sig"].to_pylist(), t["doc_id"].to_pylist()):
-                sig_to_docs.setdefault(s, set()).add(d)
-            for i, s in entries:
-                out[i] |= sig_to_docs.get(s, set())
-        return out
+        hits = _probe_sig_buckets(self._bucket_files(), self.n_buckets,
+                                  idx, sig)
+        return [hits.get(i, set()) for i in range(len(token_lists))]
 
     def candidate_pairs_ds(self, cap: int = 65536) -> ray.data.Dataset:
         """Distributed form of :meth:`candidate_pairs`: one Ray task per
@@ -1021,10 +997,7 @@ class MinHashIndexView(_SignedSetView):
         reclaim that version, exactly like any snapshot reader vs
         ``vacuum`` (keep ``retain ≥ 1`` superseded versions while
         deferred readers exist)."""
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
-        paths = [f for _, f in sorted(self._bucket_files(cur["dir"]).items())]
+        paths = [f for _, f in sorted(self._bucket_files().items())]
 
         def _file_pairs(t: pa.Table, cap=cap) -> pa.Table:
             out_a: list = []
@@ -1062,12 +1035,8 @@ class MinHashIndexView(_SignedSetView):
         probe cost is O(incoming + touched buckets), not O(corpus).
         Returns Dataset[(probe_id: string, match_id: string)], distinct
         (each probe id must appear in exactly one input batch)."""
-        cur = self._current()
-        if cur is None:
-            raise ValueError("view was never refreshed")
         prober = _MinHashBatchProber(
-            self._bucket_files(cur["dir"]), self.n_buckets,
-            dict(self.meta), id_col, tok_col)
+            self._bucket_files(), self.n_buckets, self._mh, id_col, tok_col)
         return probes.map_batches(
             prober, batch_format="pyarrow", batch_size=4096)
 
@@ -1079,15 +1048,11 @@ class _MinHashBatchProber:
     ship per task, and an actor pool would only add cold-start latency
     (the ninth-session task-pool-sweep rule)."""
 
-    def __init__(self, files: dict[int, str], n_buckets: int, meta: dict,
+    def __init__(self, files: dict[int, str], n_buckets: int, mh,
                  id_col: str, tok_col: str):
-        from marc_data_migration_ray.pipelines.dedup import MinHasher
-
         self.files = dict(files)
         self.n_buckets = int(n_buckets)
-        self._mh = MinHasher(
-            num_perm=int(meta["num_perm"]), n_bands=int(meta["n_bands"]),
-            shingle=int(meta["shingle"]))
+        self._mh = mh
         self.id_col = id_col
         self.tok_col = tok_col
 
@@ -1097,29 +1062,19 @@ class _MinHashBatchProber:
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()
         id_list = ids.to_pylist()
-        by_bucket: dict[int, list[tuple[int, int]]] = {}
-        for i, s in zip(idx.tolist(), sig.tolist()):
-            by_bucket.setdefault(int(s % self.n_buckets), []).append((i, s))
-        out: set = set()
-        for b, entries in sorted(by_bucket.items()):
-            f = self.files.get(b)
-            if f is None:
-                continue
-            want = sorted({s for _, s in entries})
-            bt = pq.read_table(f, filters=[("sig", "in", want)])
-            sig_to_docs: dict[int, set] = {}
-            for s, d in zip(bt["sig"].to_pylist(), bt["doc_id"].to_pylist()):
-                sig_to_docs.setdefault(s, set()).add(d)
-            for i, s in entries:
-                for d in sig_to_docs.get(s, ()):
-                    out.add((id_list[i], d))
-        pairs = sorted(out)
+        hits = _probe_sig_buckets(self.files, self.n_buckets, idx, sig)
+        pairs = sorted({(id_list[i], d) for i, ds in hits.items() for d in ds})
         probe, match = [p for p, _ in pairs], [m for _, m in pairs]
         return pa.table({"probe_id": pa.array(probe, pa.string()),
                          "match_id": pa.array(match, pa.string())})
 
 
-def open_view(root: str, replayer):
+#: ``META.json`` kind → the class that reopens it
+_VIEW_CLASSES = {cls.KIND: cls for cls in
+                 (AggView, PostingsView, ScalarIndexView, MinHashIndexView)}
+
+
+def open_view(root: str, replayer) -> _View:
     """Reopen ANY materialized view from its ``META.json`` ``kind`` tag
     (agg / postings / scalar_index / minhash_index) — what
     ``follow --refresh-view`` uses to keep a set of heterogeneous views
@@ -1128,21 +1083,15 @@ def open_view(root: str, replayer):
     if not os.path.exists(meta_p):
         raise ValueError(
             f"{root}: no META.json — create the view once with its "
-            "concrete class (AggView / PostingsView / ScalarIndexView / "
-            "MinHashIndexView) first"
+            "concrete class ("
+            + " / ".join(c.__name__ for c in _VIEW_CLASSES.values())
+            + ") first"
         )
-    meta = json.loads(open(meta_p).read())
-    kind = meta.get("kind")
-    if kind == "agg":
-        return AggView(root, replayer, keys=tuple(meta["keys"]),
-                       sums=tuple(meta["sums"]))
-    if kind == "postings":
-        return PostingsView(root, replayer)
-    if kind == "scalar_index":
-        return ScalarIndexView(root, replayer)
-    if kind == "minhash_index":
-        return MinHashIndexView(root, replayer)
-    raise ValueError(f"{root}: unknown view kind {kind!r}")
+    with open(meta_p) as f:
+        kind = json.load(f).get("kind")
+    if kind not in _VIEW_CLASSES:
+        raise ValueError(f"{root}: unknown view kind {kind!r}")
+    return _VIEW_CLASSES[kind](root, replayer)
 
 
 #: backward-compatible (source, n_rows, n_tok_sum) view
@@ -1151,8 +1100,3 @@ class SourceCountsView(AggView):
 
     def __init__(self, root: str, replayer):
         super().__init__(root, replayer, keys=("source",), sums=("n_tok",))
-
-
-VIEW_SCHEMA = pa.schema(
-    [("source", pa.string()), ("n_rows", pa.int64()), ("n_tok_sum", pa.int64())]
-)

@@ -102,14 +102,43 @@ def test_open_view_errors(ray_session, tmp_path):
         f.write(json.dumps({"kind": "wat"}))
     with pytest.raises(ValueError, match="unknown view kind"):
         open_view(bad, rp)
-    # agg stickiness: reopen with omitted args adopts the stored META;
-    # explicit mismatched args raise
-    a = AggView(str(tmp_path / "va"), rp, keys=("status",), sums=("last_lsn",))
-    re = AggView(str(tmp_path / "va"), rp)  # omitted → META wins
-    assert re.keys == ("status",) and re.sums == ("last_lsn",)
-    with pytest.raises(ValueError, match="built with keys"):
-        AggView(str(tmp_path / "va"), rp, keys=("source",))
-    assert isinstance(open_view(str(tmp_path / "va"), rp), AggView)
+
+
+#: kind → (class, args of a new view, an explicit arg that mismatches them)
+_KINDS = {
+    "agg": (AggView, {"keys": ("status",), "sums": ("last_lsn",)},
+            {"keys": ("source",)}),
+    "postings": (PostingsView, {"n_buckets": 4}, {"n_buckets": 8}),
+    "scalar_index": (ScalarIndexView, {"column": "n_tok", "bin_width": 4},
+                     {"bin_width": 8}),
+    "minhash_index": (MinHashIndexView, {"n_buckets": 4}, {"n_buckets": 8}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_open_view_protocol(ray_session, tmp_path, kind):
+    """Every kind shares one protocol: an unrefreshed view refuses to
+    read, ``open_view`` rebuilds the same class with the same META from
+    its kind tag, omitted args adopt the stored META and an explicit
+    mismatched arg raises."""
+    cls, args, mismatch = _KINDS[kind]
+    fix = str(tmp_path / "fix")
+    fixtures.write_fixture(fix, n_rows=30, n_events=60, n_epochs=1, seed=3)
+    rp = Replayer(str(tmp_path / "t"), ReplayConfig(num_partitions=2),
+                  base_path=os.path.join(fix, "base"))
+    root = str(tmp_path / "v")
+    v = cls(root, rp, **args)
+    assert v.meta["kind"] == kind and v.last_epoch() is None
+    with open(os.path.join(root, "META.json")) as f:
+        assert json.load(f) == v.meta
+    with pytest.raises(ValueError, match="never refreshed"):
+        v.read()
+    reopened = open_view(root, rp)
+    assert type(reopened) is cls and reopened.meta == v.meta
+    assert cls(root, rp).meta == v.meta  # omitted args → META wins
+    assert cls(root, rp, **args).meta == v.meta  # explicit match reopens
+    with pytest.raises(ValueError, match="built with"):
+        cls(root, rp, **mismatch)
 
 
 def test_follow_dedup_gate(ray_session, tmp_path):
@@ -204,11 +233,15 @@ def test_aggview_refresh_across_empty_epoch(ray_session, tmp_path):
 
 
 def test_view_detects_epoch_number_reuse_after_rollback(ray_session,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        monkeypatch):
     """Code-review r5: rollback + re-ingest can re-commit the SAME epoch
     number with different data; the view must detect it (CURRENT stores
     the epoch's fingerprint) and full-rebuild instead of silently
-    serving/maintaining from the stale base."""
+    serving/maintaining from the stale base. The rebuild targets the
+    epoch CURRENT already names, so its publish must not touch the live
+    version dir: a publish that fails before the marker swap leaves the
+    stale version readable, and vacuum reclaims it once superseded."""
     import pyarrow.parquet as pq
 
     fix = str(tmp_path / "fix")
@@ -230,6 +263,21 @@ def test_view_detects_epoch_number_reuse_after_rollback(ray_session,
     pq.write_table(t.slice(0, max(1, t.num_rows // 3)),
                    os.path.join(alt, "part-0.parquet"))
     rp.apply_epoch(1, alt)
+
+    real_rename = os.rename
+
+    def failing_rename(src, dst, *a, **kw):
+        if os.path.basename(src).startswith("_tmp_"):
+            raise OSError("injected publish failure")
+        return real_rename(src, dst, *a, **kw)
+
+    monkeypatch.setattr(os, "rename", failing_rename)
+    with pytest.raises(OSError, match="injected"):
+        v.refresh()
+    monkeypatch.undo()
+    assert v.last_epoch() == 1
+    assert v.read().equals(stale)  # torn refresh: previous version current
+
     r = v.refresh()
     assert r["mode"] == "full", r  # number-only check would say noop
     fresh = AggView(str(tmp_path / "v2"), rp,
@@ -237,6 +285,12 @@ def test_view_detects_epoch_number_reuse_after_rollback(ray_session,
     fresh.refresh()
     assert v.read().equals(fresh.read())
     assert not v.read().equals(stale)
+    rep = v.vacuum_versions(retain=0)
+    assert rep["removed"] == 1 and rep["kept"] == 1, rep
+    cur = json.loads(open(str(tmp_path / "v" / "CURRENT")).read())["dir"]
+    assert {d for d in os.listdir(str(tmp_path / "v"))
+            if d.startswith(("v", "_tmp_"))} == {cur}
+    assert v.read().equals(fresh.read())
 
 
 def test_wrong_view_class_on_existing_root_raises(ray_session, tmp_path):
