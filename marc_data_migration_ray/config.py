@@ -75,8 +75,9 @@ class ReplayConfig:
 
     #: cross-partition hot-key salting (north-star "salted sub-partitions"):
     #: when > 1, events land in ``num_partitions × num_salts`` physical
-    #: sub-buckets (``part_p = part_id * S + lsn % S``) and the fold runs in
-    #: two stages — a per-sub-bucket summary fold (anchor candidate +
+    #: sub-buckets (``part_p = part_id * S + lsn % S``, where ``part_id`` is
+    #: ``functions.keys.route_keys``'s and ``pipelines.replay._part_p`` is
+    #: the one place the map is computed) and the fold runs in two stages — a per-sub-bucket summary fold (anchor candidate +
     #: per-column winner candidates + payload-stripped update metadata),
     #: then one merge per logical partition. The payload-heavy work for a
     #: single pathological key is thereby spread over S tasks; the merge

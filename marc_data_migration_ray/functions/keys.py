@@ -147,6 +147,33 @@ def local_id_parts(
     return key, part
 
 
+def route_keys(
+    raw: "pa.ChunkedArray | pa.Array", prefix: str, num_partitions: int
+) -> tuple[pa.Array, pa.Array]:
+    """The table's one key-routing rule: ``(key, part_id)`` of a raw key
+    column. Ingest (``ParseRoute``), base bucketization (``PrepBase``),
+    point lookups, repartition, merge and export all route through it, so
+    a key lands in the same logical partition wherever it enters.
+
+    ``key`` is the trimmed id where ``raw`` is an allocator-assigned local
+    id (``local_id_parts``), else the normalized key (null when the value
+    does not normalize). ``part_id`` is a local id's embedded partition
+    modulo ``num_partitions``, else ``hash_partition(key or raw)``. One
+    normalize, one hash and one local-id pass per call; the local-id merge
+    is skipped when no value has that shape."""
+    raw = pc.cast(raw, pa.string())
+    key = normalize_keys(raw)
+    part = hash_partition(pc.if_else(pc.is_valid(key), key, raw), num_partitions)
+    loc_key, loc_part = local_id_parts(raw, prefix, num_partitions)
+    loc = pc.is_valid(loc_key)
+    if pc.any(loc).as_py():
+        key = pc.if_else(loc, loc_key, key)
+        part = pc.if_else(loc, loc_part, part)
+    if isinstance(key, pa.ChunkedArray):
+        key = key.combine_chunks()
+    return key, part
+
+
 def mod_bucket(col: "pa.ChunkedArray | pa.Array", n: int) -> pa.Array:
     """``col % n`` as int32 — the coarse co-partition bucket key used by
     every bucket-shuffled operator (sessions, as-of/range joins, funnel,

@@ -24,6 +24,17 @@ Physical plan (SURVEY §4.2) — co-partitioned, shuffle-free merge-on-read:
     num_partitions) and reused by every stage (ray_guide: "pick ONE
     partitioning key and reuse it across stages").
 
+    The layout is decided in one place each: ``functions.keys.route_keys``
+    maps a key to its logical partition for every writer and reader
+    (ingest, base bucketization, lookup, repartition, merge, export);
+    ``_part_p`` / ``_logical_part`` / ``_part_dir`` / ``_file_part`` map
+    logical partitions to physical ``part_p`` dirs and back;
+    ``_delta_read_set`` is the segment-aware delta walk of both the fold
+    and ``explain_layout``; ``_oldest_unsegmented_run`` is the one run
+    finder of ``auto_segment_epochs`` and the maintenance plan; and
+    ``_event_files`` is the partition-filtered committed-event-file walk
+    of ``doc_history_many`` and ``build_key_blooms``.
+
     compact() materializes the fold into a new bucketized base snapshot
     (LSM merge of the sorted runs) and advances local-id allocator offsets.
     Each fold task writes its own partition's snapshot file
@@ -80,6 +91,8 @@ import ray
 import ray.data
 
 from marc_data_migration_ray.config import PAYLOAD_COLUMNS, ReplayConfig
+from marc_data_migration_ray.functions.keys import (mod_bucket, normalize_keys,
+                                                     route_keys)
 from marc_data_migration_ray.stages.fold import (ROW_SCHEMA, fold_bucket,
                                                  split_fold)
 from marc_data_migration_ray.stages.parse import PARSED_SCHEMA, ParseRoute, PrepBase
@@ -124,6 +137,37 @@ def _paths_bytes(paths) -> int:
         elif os.path.isfile(p):
             total += os.path.getsize(p)
     return total
+
+
+# Partition placement. Keys route to P LOGICAL partitions (``route_keys``);
+# on disk each logical partition owns S = num_salts PHYSICAL ``part_p``
+# dirs. Base and snapshot rows sit in salt 0 (``part_id*S``); delta events
+# in ``part_id*S + lsn%S``, so a hot key's events spread over S sub-buckets.
+# These helpers are the only place that layout is spelled out.
+def _part_p(part_id, S: int, lsn=None):
+    """Physical ``part_p`` of logical ``part_id``: an int, or an Arrow
+    column (with the events' ``lsn`` column for delta rows)."""
+    if isinstance(part_id, int):
+        return part_id * S
+    if S == 1:
+        return part_id
+    p = pc.multiply(pc.cast(part_id, pa.int64()), S)
+    if lsn is not None:
+        p = pc.add(p, mod_bucket(lsn, S))
+    return pc.cast(p, pa.int32())
+
+
+def _logical_part(part_p: int, S: int) -> int:
+    return part_p // S
+
+
+def _part_dir(root: str, part_p) -> str:
+    return os.path.join(root, f"part_p={part_p}")
+
+
+def _file_part(path: str) -> int:
+    """``part_p`` of a file under a ``_part_dir``."""
+    return int(os.path.basename(os.path.dirname(path)).split("=", 1)[1])
 
 
 #: file-skipping key index sidecar (Delta/Iceberg bloom-filter-index
@@ -503,9 +547,10 @@ def _run_chain(t: pa.Table, fns: list | None) -> pa.Table:
 
 class _WriteSnapshotRows:
     """``compact()``'s fold-task ``post`` step: write each part's rows to
-    ``<dest>/part_p=<part_id*S>/part-<part_id>.parquet`` (salt 0 of the
-    logical partition) and return an empty row table, so no row enters
-    the object store. File and temp names depend only on the part id and
+    ``part-<part_id>.parquet`` in the salt-0 ``part_p`` dir of its logical
+    partition under ``dest`` (``_part_p``) and return an empty row table,
+    so no row enters the object store. File and temp names depend only on
+    the part id and
     the file lands by ``os.replace``, so a retried task overwrites its
     file instead of adding one."""
 
@@ -515,7 +560,7 @@ class _WriteSnapshotRows:
 
     def __call__(self, rows: pa.Table) -> pa.Table:
         for pid in pc.unique(rows["part_id"]).to_pylist():
-            d = os.path.join(self.dest, f"part_p={pid * self.num_salts}")
+            d = _part_dir(self.dest, _part_p(pid, self.num_salts))
             os.makedirs(d, exist_ok=True)
             tmp = os.path.join(d, f".part-{pid}.parquet.tmp")
             pq.write_table(rows.filter(pc.equal(rows["part_id"], pid)), tmp,
@@ -1060,8 +1105,6 @@ class _BackfillGen:
         self.transform = transform
 
     def __call__(self, rows: pa.Table, part: int):
-        from marc_data_migration_ray.functions.keys import normalize_keys
-
         rows = rows.select(["doc_id", "tokens", "n_tok", "source"])
         canon = pc.equal(
             pc.fill_null(normalize_keys(rows["doc_id"]), ""), rows["doc_id"]
@@ -1324,25 +1367,13 @@ class Replayer:
                     precollapse_batch, batch_format="pyarrow", zero_copy_batch=True
                 )
             # hash-partitioned on disk: one dir per part_p — the layout every
-            # later fold reuses (co-partitioning instead of shuffling). With
-            # num_salts > 1 the physical key is part_id*S + lsn%S: a hot
-            # key's events spread over S sub-buckets (salted sub-partitions)
-            S = self.cfg.num_salts
-            if S > 1:
-                def _phys(t: pa.Table, S=S) -> pa.Table:
-                    pid = pc.cast(t["part_id"], pa.int64())
-                    lsn = t["lsn"]
-                    salt = pc.subtract(lsn, pc.multiply(pc.divide(lsn, S), S))
-                    part_p = pc.cast(pc.add(pc.multiply(pid, S), salt), pa.int32())
-                    return t.append_column("part_p", part_p)
-
-                parsed = parsed.map_batches(_phys, batch_format="pyarrow", zero_copy_batch=True)
-            else:
-                parsed = parsed.map_batches(
-                    lambda t: t.append_column("part_p", t["part_id"]),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
+            # later fold reuses (co-partitioning instead of shuffling)
+            parsed = parsed.map_batches(
+                lambda t, S=self.cfg.num_salts: t.append_column(
+                    "part_p", _part_p(t["part_id"], S, t["lsn"])),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
             # the write task returns each file's manifest stats and writes
             # its .keybloom sidecar while it still holds the rows
             stats = write_parquet_partitioned(
@@ -1448,20 +1479,28 @@ class Replayer:
         """Level-1 auto-compaction: merge the oldest K contiguous
         unsegmented epochs whenever K have accumulated."""
         K = self.cfg.auto_segment_epochs
-        floor = self.manifest.last_compacted_epoch()
+        run = self._oldest_unsegmented_run(K)
+        if run:
+            self.compact_deltas(run[0], run[K - 1])
+
+    def _oldest_unsegmented_run(self, min_len: int) -> list[int]:
+        """The oldest run of consecutive active epochs that no delta
+        segment covers and that holds at least ``min_len`` epochs ([] when
+        none does) — what ``compact_deltas`` can merge next. Shorter runs
+        are passed over: an epoch stranded between the floor and a segment
+        can never merge, and must not block the runs after it."""
         segged: set[int] = set()
         for seg in self.manifest.delta_segments():
             segged.update(range(seg["from"], seg["to"] + 1))
-        pending = [e for e in self.manifest.committed_epochs()
-                   if e > floor and e not in segged]
         run: list[int] = []
-        for e in pending:
-            if run and e != run[-1] + 1:
-                break  # only the oldest contiguous run
-            run.append(e)
-            if len(run) == K:
-                self.compact_deltas(run[0], run[-1])
-                return
+        for e in self.manifest.active_epochs():
+            if run and (e in segged or e != run[-1] + 1):
+                if len(run) >= min_len:
+                    return run
+                run = []
+            if e not in segged:
+                run.append(e)
+        return run if len(run) >= min_len else []
 
     # ------------------------------------------------------------------ #
     # base bucketization (one-time layout alignment)
@@ -1481,16 +1520,13 @@ class Replayer:
                 st["base_path"],
                 override_num_blocks=_ingest_num_blocks(_paths_bytes(st["base_path"])),
             )
-            S = self.cfg.num_salts
             prepped = ds.map_batches(
                 PrepBase(self.cfg, st["base_normalized"]),
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             ).map_batches(
-                # base rows always land in salt 0 of their logical partition
-                lambda t, S=S: t.append_column(
-                    "part_p", pc.cast(pc.multiply(pc.cast(t["part_id"], pa.int64()), S), pa.int32())
-                ),
+                lambda t, S=self.cfg.num_salts: t.append_column(
+                    "part_p", _part_p(t["part_id"], S)),
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             )
@@ -1516,11 +1552,9 @@ class Replayer:
 
     def _files_by_part(self, root_dir: str) -> dict[int, list[str]]:
         out: dict[int, list[str]] = {}
-        for d in glob.glob(os.path.join(root_dir, "part_p=*")):
-            p = int(d.rsplit("part_p=", 1)[1])
-            fs = sorted(glob.glob(os.path.join(d, "*.parquet")))
-            if fs:
-                out.setdefault(p, []).extend(fs)
+        for f in sorted(glob.glob(os.path.join(_part_dir(root_dir, "*"),
+                                               "*.parquet"))):
+            out.setdefault(_file_part(f), []).append(f)
         return out
 
     # ------------------------------------------------------------------ #
@@ -1565,8 +1599,18 @@ class Replayer:
         base_is_final = bool(st.get("base_is_final_schema"))
         base_dir = self._ensure_bucketized_base()
         base_by_part = self._files_by_part(base_dir) if base_dir else {}
+        return base_is_final, base_by_part, self._delta_read_set(up_to_epoch)[0]
+
+    def _delta_read_set(self, up_to_epoch: int | None = None
+                        ) -> tuple[dict[int, list[str]], int, int]:
+        """The active delta files a fold through ``up_to_epoch`` reads, per
+        PHYSICAL partition, with how many per-epoch dirs and how many
+        level-1 segments they come from (``_fold_layout`` and
+        ``explain_layout``)."""
+        floor = self.manifest.last_compacted_epoch()
         delta_by_part: dict[int, list[str]] = {}
         segs_added: set[str] = set()
+        n_epoch_dirs = 0
         for e in self.manifest.active_epochs():
             if up_to_epoch is not None and e > up_to_epoch:
                 continue
@@ -1579,23 +1623,24 @@ class Replayer:
             if seg and seg["from"] > floor and (
                 up_to_epoch is None or seg["to"] <= up_to_epoch
             ):
-                if seg["dir"] not in segs_added:
-                    segs_added.add(seg["dir"])
-                    for p, fs in self._files_by_part(seg["dir"]).items():
-                        delta_by_part.setdefault(p, []).extend(fs)
-                continue
-            d = os.path.join(self.root, "deltas", f"epoch={e}")
-            if not os.path.isdir(d):
-                if seg:
-                    raise ValueError(
-                        f"epoch {e} was vacuumed into segment "
-                        f"[{seg['from']},{seg['to']}]; read with "
-                        f"up_to_epoch >= {seg['to']} (or None)"
-                    )
-                continue  # empty epoch: committed, no data dir
+                if seg["dir"] in segs_added:
+                    continue
+                segs_added.add(seg["dir"])
+                d = seg["dir"]
+            else:
+                d = os.path.join(self.root, "deltas", f"epoch={e}")
+                if not os.path.isdir(d):
+                    if seg:
+                        raise ValueError(
+                            f"epoch {e} was vacuumed into segment "
+                            f"[{seg['from']},{seg['to']}]; read with "
+                            f"up_to_epoch >= {seg['to']} (or None)"
+                        )
+                    continue  # empty epoch: committed, no data dir
+                n_epoch_dirs += 1
             for p, fs in self._files_by_part(d).items():
                 delta_by_part.setdefault(p, []).extend(fs)
-        return base_is_final, base_by_part, delta_by_part
+        return delta_by_part, n_epoch_dirs, len(segs_added)
 
     def _fold_part_refs(
         self,
@@ -1616,15 +1661,14 @@ class Replayer:
         applies ``post`` to its output (``_state_rows``)."""
         base_is_final, base_by_part, delta_by_part = self._fold_layout(
             up_to_epoch, up_to_lsn)
+        S = self.cfg.num_salts
         parts = sorted(set(base_by_part) | set(delta_by_part))
         if only_parts is not None:
-            S_ = self.cfg.num_salts
-            parts = [p for p in parts if (p // S_ if S_ > 1 else p) in only_parts]
+            parts = [p for p in parts if _logical_part(p, S) in only_parts]
         if not parts:  # empty table, or no partition can hold the keys
             return {}
         offsets = self.manifest.local_id_offsets()
         schema_ops = self._schema_ops_up_to(up_to_epoch, up_to_lsn)
-        S = self.cfg.num_salts
         if S == 1:
             return {
                 p: tuple(_fold_bucket_task.remote(
@@ -1642,11 +1686,11 @@ class Replayer:
                 for p in parts
             }
         # salted two-stage fold: `parts` here are PHYSICAL sub-buckets;
-        # group them by logical partition (phys // S), run one stage-1
-        # summary task per sub-bucket, one merge task per logical partition
+        # group them by logical partition, run one stage-1 summary task per
+        # sub-bucket, one merge task per logical partition
         logical: dict[int, list[int]] = {}
         for p in parts:
-            logical.setdefault(p // S, []).append(p)
+            logical.setdefault(_logical_part(p, S), []).append(p)
         merge_refs: dict[int, tuple["ray.ObjectRef", "ray.ObjectRef"]] = {}
         for lp, phys in sorted(logical.items()):
             s1 = [
@@ -1925,27 +1969,9 @@ class Replayer:
         return self.manifest.virtual_columns()
 
     def _parts_for_keys(self, ids: list[str]) -> set[int]:
-        """Logical partitions that can hold ``ids`` — hash routing for
-        ordinary keys, embedded-partition decode for allocator-assigned
-        local ids (``{prefix}-PPPP-N``)."""
-        from marc_data_migration_ray.functions.keys import hash_partition
-
-        pref = self.cfg.local_id_prefix + "-"
-        parts: set[int] = set()
-        hashed = []
-        for k in ids:
-            seg = k.split("-")
-            if k.startswith(pref) and len(seg) >= 3 and seg[-2].isdigit():
-                # mod keeps ids addressable after a repartition to fewer
-                # partitions (identity for the count that allocated them)
-                parts.add(int(seg[-2]) % self.cfg.num_partitions)
-            else:
-                hashed.append(k)
-        if hashed:
-            arr = hash_partition(pa.array(hashed, pa.string()),
-                                 self.cfg.num_partitions)
-            parts.update(int(p) for p in arr.to_pylist())
-        return parts
+        """Logical partitions that can hold ``ids`` (``route_keys``)."""
+        return set(route_keys(pa.array(ids, pa.string()), self.cfg.local_id_prefix,
+                              self.cfg.num_partitions)[1].to_pylist())
 
     def lookup(self, doc_ids: list[str], up_to_epoch: int | None = None,
                columns: list[str] | None = None, tag: str | None = None,
@@ -1955,8 +1981,8 @@ class Replayer:
         the partitions that can contain them — O(|ids|) bucket reads, not
         a full-table fold.
 
-        Routing: a key's partition is ``hash_partition(key) %
-        num_partitions`` (the same function ingest uses); allocator-
+        Routing: ``route_keys``, the rule ingest routes by — a key's
+        partition is ``hash_partition(key) % num_partitions``; allocator-
         assigned local ids (``{prefix}-PPPP-N``) encode their partition
         directly, so they are addressable too. Rows come back in exactly
         the ``read_state`` schema (schema ops + policies applied).
@@ -2044,33 +2070,17 @@ class Replayer:
         if not keys:
             raise ValueError("doc_ids must contain at least one key")
         S = self.cfg.num_salts
-        parts = self._parts_for_keys(keys)
-        phys_tokens = {
-            f"{os.sep}part_p={lp * S + s}{os.sep}"
-            for lp in parts for s in range(S)
-        }
-
-        def _mine(path: str) -> bool:
-            return any(tok in path for tok in phys_tokens)
-
+        key_arr = pa.array(keys, pa.string())
+        key_parts = route_keys(key_arr, self.cfg.local_id_prefix,
+                               self.cfg.num_partitions)[1].to_pylist()
+        parts = set(key_parts)
         plain: list = []
         seg_epochs: dict[str, set[int]] = {}
-        floor = self.manifest.last_compacted_epoch()
-        for e in self.manifest.committed_epochs():
-            files, from_seg = self._epoch_files(e)
-            for f in files:
-                # partition pruning is only sound for epochs ABOVE the
-                # compaction floor: a repartition (which always raises the
-                # floor past every committed epoch) leaves retained
-                # below-floor files in their ORIGINAL part_p layout, so
-                # absorbed history must rely on the key filter (and the
-                # bloom sidecars) instead of the current layout's dirs
-                if e > floor and not _mine(f):
-                    continue
-                if from_seg:
-                    seg_epochs.setdefault(f, set()).add(e)
-                else:
-                    plain.append((f, None))
+        for e, f, from_seg in self._event_files(parts):
+            if from_seg:
+                seg_epochs.setdefault(f, set()).add(e)
+            else:
+                plain.append((f, None))
         ev_items = plain + [(f, es) for f, es in sorted(seg_epochs.items())]
         ev_cols = [n for n, _ in self._DOC_HISTORY_FIELDS]
         if with_payload:
@@ -2091,7 +2101,7 @@ class Replayer:
         base_items = []
         if base_dir:
             for p, fs in self._files_by_part(base_dir).items():
-                if (p // S if S > 1 else p) in parts:
+                if _logical_part(p, S) in parts:
                     base_items.extend((f, None) for f in fs)
         base_cols = (["last_lsn"] if base_is_final else ["lsn"]) \
             + ["status", "n_tok", "source"] + (["tokens"] if with_payload else [])
@@ -2110,19 +2120,20 @@ class Replayer:
         ver_cols = (["doc_id", "tokens", "n_tok"] if with_payload
                     else ["doc_id", "n_tok"])
         sweep_keys: list[str] = []
+        kbp: dict[int, list[str]] = {}
         if with_versions and S == 1:
             head = self.manifest.head_lsn()
             try:
                 ver_pay = self._resolve_projection(ver_cols, None, head)
-                sweep_keys = [
-                    k_ for k_ in keys
-                    if not k_.startswith(self.cfg.local_id_prefix + "-")]
+                # local ids (positional allocation) take the lookup path:
+                # they are the keys that do not normalize
+                ordinary = pc.is_valid(normalize_keys(key_arr)).to_pylist()
+                for k_, p_, ok in zip(keys, key_parts, ordinary):
+                    if ok:
+                        sweep_keys.append(k_)
+                        kbp.setdefault(p_, []).append(k_)
             except ValueError:
                 pass  # core column renamed by head: lookups resolve per cut
-        kbp: dict[int, list[str]] = {}
-        for k_ in sweep_keys:
-            for p_ in self._parts_for_keys([k_]):
-                kbp.setdefault(p_, []).append(k_)
         sweeps = {}
         if kbp:
             bif, bbp, dbp = self._fold_layout()
@@ -2588,21 +2599,10 @@ class Replayer:
         prefix = self.cfg.local_id_prefix
 
         def _rewrite(t: pa.Table, P=new_P, S=new_S, prefix=prefix) -> pa.Table:
-            from marc_data_migration_ray.functions.keys import (
-                hash_partition, local_id_parts,
-            )
-
             t = t.select(_ROW_COLS)
-            ids = pc.cast(t["doc_id"], pa.string())
-            part = hash_partition(ids, P)
-            lk, lp = local_id_parts(ids, prefix, P)
-            if pc.any(pc.is_valid(lk)).as_py():
-                part = pc.if_else(pc.is_valid(lk), lp, part)
-            t = t.append_column("part_id", pc.cast(part, pa.int32()))
-            return t.append_column(
-                "part_p",
-                pc.cast(pc.multiply(pc.cast(part, pa.int64()), S), pa.int32()),
-            )
+            part = route_keys(t["doc_id"], prefix, P)[1]
+            t = t.append_column("part_id", part)
+            return t.append_column("part_p", _part_p(part, S))
 
         rows = _rows_dataset(refs).map_batches(
             _rewrite, batch_format="pyarrow", zero_copy_batch=True
@@ -2665,18 +2665,17 @@ class Replayer:
             self.manifest.committed_epochs()[-1]
             if self.manifest.committed_epochs() else -1
         )
-        from marc_data_migration_ray.functions.keys import hash_partition
-
         rows = self.read_state(up_to)
         P = self.cfg.num_partitions
 
         tmp = dest.rstrip("/") + f".tmp-{uuid.uuid4().hex[:8]}"
         clustered = {}
         if cluster_by is None:
-            def _with_part(t: pa.Table, P=P) -> pa.Table:
+            # each row in the logical partition the table routes it to
+            def _with_part(t: pa.Table, P=P,
+                           prefix=self.cfg.local_id_prefix) -> pa.Table:
                 return t.append_column(
-                    "part_p", hash_partition(pc.cast(t["doc_id"], pa.string()), P)
-                )
+                    "part_p", route_keys(t["doc_id"], prefix, P)[1])
 
             part = rows.map_batches(_with_part, batch_format="pyarrow",
                                     zero_copy_batch=True)
@@ -2963,24 +2962,14 @@ class Replayer:
         cfg = self.cfg
 
         def _route(t: pa.Table, P=P, cfg=cfg) -> pa.Table:
-            from marc_data_migration_ray.functions.keys import (
-                hash_partition, local_id_parts, normalize_keys,
-            )
-
-            raw = t["doc_id"]
-            norm = normalize_keys(raw)
-            loc_key, loc_part = local_id_parts(raw, cfg.local_id_prefix, P)
-            # the key the parse stage will adopt; un-normalizable keys keep
-            # the raw value (they match nothing and deadletter at apply)
-            key = pc.coalesce(loc_key, norm, pc.cast(raw, pa.string()))
-            part = pc.if_else(
-                pc.is_valid(loc_key),
-                pc.cast(loc_part, pa.int32()),
-                hash_partition(key, P),
-            )
+            raw = pc.cast(t["doc_id"], pa.string())
+            key, part = route_keys(raw, cfg.local_id_prefix, P)
             return pa.table(
                 {
-                    "doc_id": key,
+                    # the key the parse stage will adopt; un-normalizable
+                    # keys keep the raw value (they match nothing and
+                    # deadletter at apply)
+                    "doc_id": pc.coalesce(key, raw),
                     "tokens": pc.cast(t["tokens"], pa.list_(pa.int32())),
                     "n_tok": pc.cast(t["n_tok"], pa.int32()),
                     "source": pc.cast(t["source"], pa.string()),
@@ -3035,27 +3024,9 @@ class Replayer:
         except the one-time base bucketization if this table has never
         been read (shared table setup, not part of the diagnostic).
         """
-        st = self.manifest.state
         base_dir = self._ensure_bucketized_base()
         base_by_part = self._files_by_part(base_dir) if base_dir else {}
-        delta_by_part: dict[int, list[str]] = {}
-        floor = self.manifest.last_compacted_epoch()
-        segs_added: set[str] = set()
-        n_epoch_dirs = 0
-        for e in self.manifest.active_epochs():
-            seg = self.manifest.segment_covering(e)
-            if seg and seg["from"] > floor:
-                if seg["dir"] not in segs_added:
-                    segs_added.add(seg["dir"])
-                    for p, fs in self._files_by_part(seg["dir"]).items():
-                        delta_by_part.setdefault(p, []).extend(fs)
-                continue
-            d = os.path.join(self.root, "deltas", f"epoch={e}")
-            if not os.path.isdir(d):
-                continue
-            n_epoch_dirs += 1
-            for p, fs in self._files_by_part(d).items():
-                delta_by_part.setdefault(p, []).extend(fs)
+        delta_by_part, n_epoch_dirs, n_segments = self._delta_read_set()
 
         def _bytes(files: list[str]) -> int:
             return sum(os.path.getsize(f) for f in files)
@@ -3078,24 +3049,10 @@ class Replayer:
         plan = []  # machine-readable twin of `recommendations` (maintain())
         epochs = self.manifest.active_epochs()
         if max_files > self._EXPLAIN_MAX_FILES_PER_BUCKET and n_epoch_dirs > 1:
-            # the mergeable range starts AFTER any existing segment and
-            # clamps to the oldest contiguous unsegmented run — a plan
-            # anchored at floor+1 overlaps the previous maintain()'s
-            # segment and compact_deltas rightly refuses (code-review
-            # r5: the second maintain() call crashed the OPTIMIZE flow)
-            segged: set[int] = set()
-            for seg in self.manifest.delta_segments():
-                segged.update(range(seg["from"], seg["to"] + 1))
-            run: list[int] = []
-            for e in epochs:
-                if e in segged:
-                    if run:
-                        break  # only the oldest contiguous run
-                    continue
-                if run and e != run[-1] + 1:
-                    break
-                run.append(e)
-            if len(run) > 1:
+            # the mergeable range never overlaps an existing segment (a
+            # plan anchored at floor+1 would make compact_deltas refuse)
+            run = self._oldest_unsegmented_run(2)
+            if run:
                 recs.append(
                     f"compact_deltas({run[0]}, {run[-1]}): up to "
                     f"{max_files} files open per bucket fold")
@@ -3120,7 +3077,7 @@ class Replayer:
             "num_salts": self.cfg.num_salts,
             "active_epochs": len(epochs),
             "epoch_dirs_unmerged": n_epoch_dirs,
-            "segments_used": len(segs_added),
+            "segments_used": n_segments,
             "base_bytes": tot_base,
             "delta_bytes": tot_delta,
             "max_files_per_bucket": max_files,
@@ -3146,25 +3103,10 @@ class Replayer:
         written by this code it finds nothing to build. Idempotent;
         sidecars live inside the dirs they index, so
         vacuum / rollback reclaim them with their data. ``only_parts``
-        restricts the build to those logical partitions' directories
-        (current layout; pure scope-limiting — pruning stays correct for
-        unindexed files, they are simply always read)."""
-        tokens = None
-        if only_parts is not None:
-            S = self.cfg.num_salts
-            tokens = {f"{os.sep}part_p={lp * S + s}{os.sep}"
-                      for lp in only_parts for s in range(S)}
-        files: list[str] = []
-        seen: set[str] = set()
-        for e in self.manifest.committed_epochs():
-            fs, _ = self._epoch_files(e)
-            for f in fs:
-                if f in seen:
-                    continue
-                if tokens is not None and not any(t in f for t in tokens):
-                    continue
-                seen.add(f)
-                files.append(f)
+        restricts the build to those logical partitions' files above the
+        compaction floor (``_event_files``; pure scope-limiting — pruning
+        stays correct for unindexed files, they are simply always read)."""
+        files = list(dict.fromkeys(f for _, f, _ in self._event_files(only_parts)))
         todo = [f for f in files if not os.path.exists(f + _KEYBLOOM_SUFFIX)]
         chunks = [todo[i:i + task_files]
                   for i in range(0, len(todo), task_files)]
@@ -3496,7 +3438,7 @@ class Replayer:
             os.makedirs(tmp, exist_ok=True)  # all-empty ranges publish an empty segment
             refs = [
                 _merge_delta_files_task.remote(
-                    fs, os.path.join(tmp, f"part_p={p}", "merged.parquet")
+                    fs, os.path.join(_part_dir(tmp, p), "merged.parquet")
                 )
                 for p, fs in sorted(by_part.items())
             ]
@@ -3701,6 +3643,23 @@ class Replayer:
                 glob.glob(os.path.join(seg["dir"], "**", "*.parquet"), recursive=True)
             ), True
         return [], False
+
+    def _event_files(self, parts: set[int] | None = None):
+        """Yield ``(epoch, file, from_segment)`` over every committed
+        epoch's event files (``_epoch_files``). ``parts`` (logical
+        partitions) skips the other partitions' files of epochs ABOVE the
+        compaction floor only: a repartition (which always raises the
+        floor past every committed epoch) leaves retained below-floor
+        files in their ORIGINAL part_p layout, so absorbed history must
+        rely on key filters and bloom sidecars, not the current layout."""
+        S = self.cfg.num_salts
+        floor = self.manifest.last_compacted_epoch()
+        for e in self.manifest.committed_epochs():
+            files, from_seg = self._epoch_files(e)
+            for f in files:
+                if (parts is None or e <= floor
+                        or _logical_part(_file_part(f), S) in parts):
+                    yield e, f, from_seg
 
     # ------------------------------------------------------------------ #
     def audit_dataset(self, epoch: int):

@@ -8,8 +8,9 @@ pools when a caller needs that. Per-batch work is pure vectorized
 Arrow/numpy (no per-row Python).
 
 Each binlog event gets, in one pass:
-- ``key``: normalized doc_id (reference M1-M3 kernels),
-- ``part_id``: fnv1a64(key or raw) % num_partitions (the shuffle key),
+- ``key`` / ``part_id``: the table's routing rule, ``functions.keys.
+  route_keys`` (normalized doc_id or allocator-assigned local id;
+  fnv1a64(key or raw) % num_partitions or the id's embedded partition),
 - ``route``/``status``: the M14 gate truth table + dead-letter / local /
   schema routing per SEMANTICS.md (fold refines applied→noop later).
 """
@@ -21,11 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from marc_data_migration_ray.config import ReplayConfig
-from marc_data_migration_ray.functions.keys import (
-    hash_partition,
-    local_id_parts,
-    normalize_keys,
-)
+from marc_data_migration_ray.functions.keys import route_keys
 
 #: unified schema emitted by ParseRoute and PrepBase (fold input).
 PARSED_FIELDS = [
@@ -135,17 +132,7 @@ class ParseRoute:
         cfg = self.cfg
         n = batch.num_rows
         raw = batch["doc_id"].combine_chunks() if isinstance(batch["doc_id"], pa.ChunkedArray) else batch["doc_id"]
-        key = normalize_keys(raw)
-        part_key = pc.if_else(pc.is_valid(key), key, raw)
-        part_id = hash_partition(part_key, cfg.num_partitions)
-        # allocator-assigned local ids are first-class addressable keys:
-        # route to the embedded allocation partition (where the materialized
-        # row lives), not hash(key) — see functions.keys.local_id_parts
-        loc_key, loc_part = local_id_parts(raw, cfg.local_id_prefix, cfg.num_partitions)
-        loc_valid = pc.is_valid(loc_key)
-        if pc.any(loc_valid).as_py():
-            key = pc.if_else(loc_valid, loc_key, key)
-            part_id = pc.if_else(loc_valid, loc_part, part_id)
+        key, part_id = route_keys(raw, cfg.local_id_prefix, cfg.num_partitions)
 
         op = batch["op"].to_numpy(zero_copy_only=False)
         key_null = pc.is_null(key).to_numpy(zero_copy_only=False)
@@ -271,7 +258,6 @@ class PrepBase:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
-        stored_part = None
         if self.assume_normalized:
             raw = batch["doc_id"]
             key = pc.cast(raw, pa.string())
@@ -282,37 +268,25 @@ class PrepBase:
             )
             status = batch["status"] if "status" in batch.column_names else None
             cand = batch["candidate_key"] if "candidate_key" in batch.column_names else None
-            if "part_id" in batch.column_names:
-                # compacted snapshots store their placement; preserve it so
-                # LOCAL- rows stay in the partition that allocated them
-                stored_part = pc.cast(batch["part_id"], pa.int32())
+            # compacted snapshots store their placement; preserve it so
+            # LOCAL- rows stay in the partition that allocated them
+            part_id = (pc.cast(batch["part_id"], pa.int32())
+                       if "part_id" in batch.column_names else
+                       route_keys(key, cfg.local_id_prefix, cfg.num_partitions)[1])
         else:
-            def _keys(col):
-                k = normalize_keys(col)
-                lk, _ = local_id_parts(col, cfg.local_id_prefix, cfg.num_partitions)
-                return pc.if_else(pc.is_valid(lk), lk, k)
-
-            key = _keys(batch["doc_id"])
+            key, part_id = route_keys(
+                batch["doc_id"], cfg.local_id_prefix, cfg.num_partitions)
+            # rows whose key does not normalize are unaddressable: drop them
+            # (and their already-computed keys and partitions)
             mask = pc.is_valid(key)
             batch = batch.filter(mask)
-            # filter the already-computed keys instead of re-running the
-            # 5-kernel normalization chain over the survivors (the base
-            # bucketize pays this on the largest input table)
             key = key.filter(mask)
+            part_id = part_id.filter(mask)
             raw = batch["doc_id"]
             lsn = None
             status = None
             cand = None
         n = batch.num_rows
-        if stored_part is not None:
-            part_id = stored_part
-        else:
-            part_id = hash_partition(key, cfg.num_partitions)
-            loc_key, loc_part = local_id_parts(
-                key, cfg.local_id_prefix, cfg.num_partitions
-            )
-            if pc.any(pc.is_valid(loc_key)).as_py():
-                part_id = pc.if_else(pc.is_valid(loc_key), loc_part, part_id)
         return _as_parsed(
             {
                 "is_base": pa.array(np.ones(n, bool)),

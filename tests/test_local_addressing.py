@@ -228,3 +228,53 @@ def test_local_id_versions_match_per_cut_lookup(ray_session, base_dir,
     ]))
     assert _versions_vs_lookup(rp, lid) == [
         (200, True, 2), (201, True, 4), (202, False, None)]
+
+
+@pytest.fixture(scope="module")
+def routing_fixtures(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("routing_fx"))
+    out = {}
+    for name, frac in (("default", 0.02), ("invalid5", 0.05)):
+        d = os.path.join(root, name)
+        fixtures.write_fixture(d, n_rows=80, n_events=500, n_epochs=2,
+                               seed=29, invalid_key_frac=frac,
+                               schema_change_frac=0.0)
+        out[name] = d
+    return out
+
+
+@pytest.mark.parametrize("case", ["salts1", "salts2", "repartition3",
+                                  "invalid5"])
+def test_routing_agrees_everywhere(ray_session, routing_fixtures, tmp_path,
+                                   case):
+    """One routing rule: every folded row sits in the logical partition
+    ``_parts_for_keys`` sends its ``doc_id`` to (ordinary keys, allocated
+    local ids, salted layouts, after a repartition), and ``route_keys``
+    is exactly what ``ParseRoute`` assigns to the raw binlog keys."""
+    from marc_data_migration_ray.functions.keys import route_keys
+    from marc_data_migration_ray.stages.parse import ParseRoute
+
+    fx = routing_fixtures["invalid5" if case == "invalid5" else "default"]
+    cfg = ReplayConfig(num_partitions=4,
+                       num_salts=2 if case == "salts2" else 1)
+    rp = Replayer(str(tmp_path / "t"), cfg,
+                  base_path=os.path.join(fx, "base"))
+    binlogs = [os.path.join(fx, "binlog", f"epoch={e}") for e in range(2)]
+    for e, d in enumerate(binlogs):
+        rp.apply_epoch(e, d)
+    if case == "repartition3":
+        rp.repartition(3)
+    rows = rp.fold_output().take_all()
+    local = [r for r in rows if r["doc_id"].startswith("LOCAL-")]
+    assert rows and local, "fixture must fold ordinary and local-id rows"
+    for r in rows:
+        assert rp._parts_for_keys([r["doc_id"]]) == {r["part_id"]}, r
+
+    raw = pa.concat_tables([
+        pq.read_table(os.path.join(d, f)) for d in binlogs
+        for f in sorted(os.listdir(d))])
+    parsed = ParseRoute(rp.cfg)(raw)
+    key, part = route_keys(raw["doc_id"], rp.cfg.local_id_prefix,
+                           rp.cfg.num_partitions)
+    assert key.to_pylist() == parsed["key"].to_pylist()
+    assert part.to_pylist() == parsed["part_id"].to_pylist()

@@ -118,3 +118,45 @@ def test_maintain_survives_existing_segment(ray_session, tmp_path):
     want = sorted(ref.read_state().take_all(), key=lambda r: r["doc_id"])
     assert after == want
     assert len(before) <= len(after) or True  # state evolves; oracle pins
+
+
+def test_lone_epoch_before_segment_does_not_block_merges(ray_session,
+                                                         tmp_path):
+    """An unsegmented epoch stranded between the floor and a segment (here
+    epoch 0 before segment [1, 2]) can never merge. It used to end the
+    run search, so neither ``explain_layout``'s plan nor
+    ``auto_segment_epochs`` ever merged the epochs after the segment."""
+    fix = str(tmp_path / "fx")
+    fixtures.write_fixture(fix, n_rows=60, n_events=800, n_epochs=8,
+                           seed=17, schema_change_frac=0.0)
+
+    def _table(name, epochs, **kw):
+        rp = Replayer(str(tmp_path / name), ReplayConfig(num_partitions=2),
+                      base_path=os.path.join(fix, "base"))
+        for e in epochs:
+            rp.apply_epoch(e, os.path.join(fix, "binlog", f"epoch={e}"))
+        rp.compact_deltas(1, 2)
+        return rp
+
+    # A: the plan (and maintain) merge the run after the segment
+    rp = _table("a", range(6))
+    before = _rows(rp)
+    rp._EXPLAIN_MAX_FILES_PER_BUCKET = 0
+    # keep compact() out of the plan: it would subsume the merge
+    rp._EXPLAIN_COMPACT_DELTA_RATIO = float("inf")
+    assert rp.explain_layout()["plan"] == [
+        {"op": "compact_deltas", "args": [3, 5]}]
+    rep = rp.maintain()
+    assert rep["actions"] == ["compact_deltas(3, 5)"], rep
+    assert [(s["from"], s["to"]) for s in rp.manifest.delta_segments()] \
+        == [(1, 2), (3, 5)]
+    assert _rows(rp) == before
+
+    # B: auto-segmenting resumes after the segment
+    _table("b", range(3))
+    rp = Replayer(str(tmp_path / "b"),
+                  ReplayConfig(num_partitions=2, auto_segment_epochs=2))
+    for e in range(3, 8):
+        rp.apply_epoch(e, os.path.join(fix, "binlog", f"epoch={e}"))
+    assert [(s["from"], s["to"]) for s in rp.manifest.delta_segments()] \
+        == [(1, 2), (3, 4), (5, 6)]
