@@ -769,19 +769,17 @@ def _asof_sweep(allr: pa.Table, cfg: ReplayConfig,
     pay_in = [c for c in pay if c in applied.columns]
     added_in = added_full if has_extra else []
     val_cols = pay_in + added_in
-    writes = {c: applied.select(_writes_expr(tl, c).alias("w"))["w"]
-              .fill_null(False).to_numpy().astype(bool)
-              for c in val_cols} if applied.height else {
-                  c: np.empty(0, bool) for c in val_cols}
+    wf = applied.select(*[_writes_expr(tl, c).fill_null(False).alias(c)
+                          for c in val_cols])
+    writes = {c: wf[c].to_numpy().astype(bool) for c in val_cols}
     a_lsn_all = applied["lsn"].to_numpy().astype(np.int64) \
         if applied.height else np.empty(0, np.int64)
     a_op = np.asarray(applied["op"].to_list(), dtype=object)
     a_key = np.asarray(applied["key"].to_list(), dtype=object)
     vals = {c: applied[c].to_list() for c in pay_in}
-    for c in added_in:  # event-side values for DDL-added columns
-        vals[c] = applied.select(
-            _extra_value_expr(tl, c).alias("v"))["v"].to_list() \
-            if applied.height else []
+    ev_aex = applied.select(*[_extra_value_expr(tl, c).alias(c)
+                              for c in added_in])
+    vals.update({c: ev_aex[c].to_list() for c in added_in})
     status_l = applied["status"].to_list()
     cand_l = applied["candidate_key"].to_list()
     part_l = applied["part_id"].to_list()
@@ -790,9 +788,9 @@ def _asof_sweep(allr: pa.Table, cfg: ReplayConfig,
     # base-side values for added columns (anchor fallback / replace_only)
     base_aex: dict[str, list] = {}
     if base.height and added_in and "extra_json" in base.columns:
-        for c in added_in:
-            base_aex[c] = base.select(
-                _extra_value_expr(tl, c).alias("v"))["v"].to_list()
+        bv = base.select(*[_extra_value_expr(tl, c).alias(c)
+                           for c in added_in])
+        base_aex = {c: bv[c].to_list() for c in added_in}
     base_keys = base["key"].to_list() if base.height else []
     base_row_idx = {k: i for i, k in enumerate(base_keys)}
     repl_only = cfg.strategy == "replace_only"
@@ -2300,46 +2298,48 @@ class Replayer:
             # group only a (vectorized) filter + metadata-level
             # select/rename remains. Extraction names come from the MAX
             # cut's Timeline.added INCLUDING dropped columns (a column
-            # live at an early cut may be dropped by the last one).
+            # live at an early cut may be dropped by the last one), less
+            # those no group's projection keeps. Rows of cuts before the
+            # first add carry raw event payloads (numbers, lists, ...), so
+            # this path keeps json_path_match rather than unpack_added.
             fast = not per_plugin and not self.manifest.virtual_columns()
             wide = None
-            tl_full = None
+            picks: dict[int, list[tuple[str, str]]] = {}
             if fast:
-                from marc_data_migration_ray.state.schema_timeline import \
-                    Timeline
+                from marc_data_migration_ray.state.schema_timeline import (
+                    Timeline, resolve_schema_prefix)
 
-                max_ops = ops_for(int(asof.max()))
-                tl_full = Timeline(max_ops)
-                ext_names = list(tl_full.added)
-                disp = body.select(_DISPLAY_COLS)
-                arrays = list(disp.columns)
+                tl_full = Timeline(ops_for(int(asof.max())))
+                for sig, ls in groups.items():
+                    # (canonical, as-of name) of each column the group
+                    # keeps: resolve_schema_prefix's schema is positionally
+                    # _DISPLAY_COLS + the group's added columns
+                    final_schema, _rn, added_g = resolve_schema_prefix(
+                        _DISPLAY_COLS, tl_full, ls[0])
+                    picks[sig] = [
+                        (src, dst) for src, dst in zip(
+                            _DISPLAY_COLS + added_g, final_schema)
+                        if columns is None or dst in columns]
+                kept = {src for p in picks.values() for src, _ in p}
+                ext_names = [c for c in tl_full.added if c in kept]
+                arrays = list(body.select(_DISPLAY_COLS).columns)
                 if ext_names:
                     import polars as pl
 
-                    ex = pl.from_arrow(body.select(["extra_json"]))
-                    ext = ex.select([
+                    ext = pl.from_arrow(body.select(["extra_json"])).select([
                         pl.col("extra_json").str.json_path_match(
                             f"$.{name}").alias(name)
-                        for name in ext_names
-                    ]).to_arrow()
-                    arrays += [
-                        pc.cast(ext[name].combine_chunks()
-                                if isinstance(ext[name], pa.ChunkedArray)
-                                else ext[name], pa.string())
-                        for name in ext_names
-                    ]
+                        for name in ext_names]).to_arrow()
+                    arrays += [pc.cast(ext[name].combine_chunks(), pa.string())
+                               for name in ext_names]
                 wide = pa.Table.from_arrays(
                     arrays, names=_DISPLAY_COLS + ext_names)
             for sig, ls in groups.items():
                 if fast:
-                    from marc_data_migration_ray.state.schema_timeline \
-                        import resolve_schema_prefix
-
-                    final_schema, _rn, added_g = resolve_schema_prefix(
-                        _DISPLAY_COLS, tl_full, ls[0])
                     mask = np.isin(asof, ls)
-                    sub = wide.select(_DISPLAY_COLS + added_g).filter(
-                        pa.array(mask)).rename_columns(list(final_schema))
+                    sub = wide.select([src for src, _ in picks[sig]]).filter(
+                        pa.array(mask)).rename_columns(
+                            [dst for _, dst in picks[sig]])
                     if columns is not None:
                         sub = sub.select(list(columns))
                     # the zip below assigns cut LSNs POSITIONALLY — valid
@@ -2412,26 +2412,10 @@ class Replayer:
             # canonical order = _DISPLAY_COLS + added (resolve_schema appends
             # adds, renames in place) → rename positionally to final schema.
             def _evolve(t: pa.Table, added=tuple(added), names=tuple(final_schema)) -> pa.Table:
-                import polars as pl
+                from marc_data_migration_ray.stages.fold import unpack_added
 
-                ex = pl.from_arrow(t.select(["extra_json"]))
-                t = t.drop_columns(["extra_json"])
-                # ONE select for every added column: per-column selects
-                # cost ~0.1 ms of polars fixed overhead each, which at
-                # 100+ DDL-added columns × many small as-of batches was
-                # the dominant driver cost of a long lineage (measured
-                # 6.3 s of a 14 s doc_history; VERDICT r4 profiling)
-                ext = ex.select([
-                    pl.col("extra_json").str.json_path_match(
-                        f"$.{name}").alias(name)
-                    for name in added
-                ]).to_arrow()
-                arrays = list(t.columns) + [
-                    pc.cast(ext[name].combine_chunks()
-                            if isinstance(ext[name], pa.ChunkedArray)
-                            else ext[name], pa.string())
-                    for name in added
-                ]
+                arrays = list(t.drop_columns(["extra_json"]).columns) \
+                    + unpack_added(t["extra_json"], added)
                 return pa.Table.from_arrays(arrays, names=list(names))
 
             fns.append(_evolve)

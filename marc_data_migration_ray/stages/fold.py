@@ -10,6 +10,22 @@ This is the analog of the reference's field-replacement core
 (``record_update.py:479-504``) + local-id assignment
 (``pnca_policy.py:174-223`` P6), recast as a deterministic keyed fold.
 
+Winners come from ONE pass over every folded column (``lww_winners``):
+one select computes each column's write flag, one narrow ``(key, lsn)``
+sort and one ``group_by(key)`` pick each column's last flagged value plus
+the row lineage, and ``col_replacements`` sums the same flags. The salted
+stage 1 and merge reuse those flags, so the per-column LWW rule lives in
+one place. A chain of eager calls per column would pay polars' fixed
+per-call cost once per column, which dominates small buckets with many
+DDL-added columns.
+
+``extra_json`` invariant: a fold with DDL-added columns packs every output
+row's ``extra_json`` with ``struct.json_encode`` over String values, so
+fold output holds only JSON strings or nulls under canonical keys, and a
+read decodes it once per row (``unpack_added``). Event payloads may carry
+numbers, lists or objects, so event-side extraction (``_extra_value_expr``)
+keeps ``json_path_match``.
+
 ``fold_bucket`` returns a union-schema table: ``_kind='row'`` final rows
 plus one ``_kind='metrics'`` JSON row per bucket (reference A1/A2
 counters; rerouted updates are counted there as ``noop`` /
@@ -128,6 +144,71 @@ def _extra_value_expr(tl, c: str):
     return expr
 
 
+def unpack_added(extra_json, names) -> list[pa.Array]:
+    """Folded rows' ``extra_json`` → one string array per added column
+    ``names`` (canonical keys; absent keys and null rows read null), by one
+    ``json_decode`` per row — exact for fold output only (the module's
+    ``extra_json`` invariant)."""
+    if not names:
+        return []
+    dec = (pl.from_arrow(extra_json)
+           .str.json_decode(pl.Struct({n: pl.String for n in names}))
+           .struct.unnest().to_arrow())
+    return [pc.cast(dec[n].combine_chunks(), pa.string()) for n in names]
+
+
+def _write_flags(tl, cols: list[str], replace_only: bool = False,
+                 ) -> list[pl.Expr]:
+    """``_f_{c}`` for each ``c`` in ``cols``: does the update write ``c``?
+    Its mask must write ``c`` as of its lsn (``_writes_expr``) and, under
+    ``replace_only``, its anchor must carry ``c`` (``_ahas_{c}``)."""
+    flags = []
+    for c in cols:
+        f = _writes_expr(tl, c)
+        if replace_only:
+            f = f & pl.col(f"_ahas_{c}")
+        flags.append(f.fill_null(False).alias(f"_f_{c}"))
+    return flags
+
+
+def _flag_counts(df: pl.DataFrame, cols: list[str]) -> dict[str, int]:
+    """``{c: rows of df with _f_{c} set}`` in one select: the
+    ``col_replacements`` metric."""
+    if not cols:
+        return {}
+    return dict(zip(cols, df.select(
+        [pl.col(f"_f_{c}").sum() for c in cols]).row(0)))
+
+
+def lww_winners(upd: pl.DataFrame, tl, cols: list[str],
+                values: dict[str, pl.Expr], replace_only: bool = False,
+                ) -> tuple[pl.DataFrame, dict[str, int]]:
+    """The per-column LWW rule, one pass over every column.
+
+    ``upd`` holds gate-passed updates (``key``, ``lsn``, ``status``,
+    ``column_mask`` and what ``values`` reads). One narrow (key, lsn) sort
+    and one ``group_by`` give, per key:
+
+    * ``_w_{c}`` / ``_has_{c}`` for each ``c`` in ``values``: the value
+      of the max-lsn update writing ``c`` (``_write_flags``), and whether
+      any update does;
+    * ``_llsn`` / ``_lstatus``: lsn and status of the max-lsn update (row
+      lineage).
+
+    Also returns ``_flag_counts`` over ``cols``."""
+    narrow = upd.select("key", "lsn", "status",
+                        *[v.alias(f"_v_{c}") for c, v in values.items()],
+                        *_write_flags(tl, cols, replace_only))
+    win = narrow.sort(["key", "lsn"]).group_by("key").agg(
+        pl.col("lsn").last().alias("_llsn"),
+        pl.col("status").last().alias("_lstatus"),
+        *[pl.col(f"_v_{c}").filter(pl.col(f"_f_{c}")).last().alias(f"_w_{c}")
+          for c in values],
+        *[pl.col(f"_f_{c}").any().alias(f"_has_{c}") for c in values],
+    )
+    return win, _flag_counts(narrow, cols)
+
+
 def _to_arrow(df: pl.DataFrame) -> pa.Table:
     """polars → arrow with the exact FOLD_SCHEMA types."""
     t = df.to_arrow()
@@ -221,71 +302,27 @@ def fold_bucket(
     )
     upd = updates.filter(applies)
 
-    # per-column winners (group-by-last over lsn); masks resolve as-of-lsn
-    col_repl: dict[str, int] = {}
+    # per-column winners and row lineage in one pass (``lww_winners``);
+    # masks resolve as-of-lsn
     final = anchor.filter(pl.col("op") != "delete")
     tombstoned = anchor.filter(pl.col("op") == "delete").height
-    for c in pay:
-        wc = upd.filter(_writes_expr(tl, c))
-        if cfg.strategy == "replace_only":
-            wc = wc.filter(pl.col(f"_ahas_{c}"))
-        col_repl[c] = wc.height
-        winner = (
-            # narrow frame: sort/unique must not drag the update's full
-            # payload width through the gathers
-            wc.select("key", "lsn", c)
-            .sort(["key", "lsn"])
-            .unique(subset=["key"], keep="last", maintain_order=True)
-            .select("key", pl.col(c).alias(f"_w_{c}"), pl.lit(True).alias(f"_has_{c}"))
-        )
-        final = final.join(winner, on="key", how="left")
-        final = final.with_columns(
-            pl.when(pl.col(f"_has_{c}").fill_null(False))
-            .then(pl.col(f"_w_{c}"))
-            .otherwise(pl.col(c))
-            .alias(c)
-        ).drop([f"_w_{c}", f"_has_{c}"])
-    # DDL-added columns: winner value from the event's extra_json payload,
-    # anchor's stored value as fallback; final rows re-key canonically
-    for c in added_sel:
-        wc = upd.filter(_writes_expr(tl, c))
-        if cfg.strategy == "replace_only":
-            wc = wc.filter(pl.col(f"_ahas_{c}"))
-        col_repl[c] = wc.height
-        winner = (
-            wc.select("key", "lsn", _extra_value_expr(tl, c).alias(f"_w_{c}"))
-            .sort(["key", "lsn"])
-            .unique(subset=["key"], keep="last", maintain_order=True)
-            .select("key", f"_w_{c}", pl.lit(True).alias(f"_has_{c}"))
-        )
-        final = final.join(winner, on="key", how="left")
-        final = final.with_columns(
-            pl.when(pl.col(f"_has_{c}").fill_null(False))
-            .then(pl.col(f"_w_{c}"))
-            .otherwise(pl.col(f"_aex_{c}"))
-            .alias(f"_fx_{c}")
-        ).drop([f"_w_{c}", f"_has_{c}"])
-    if added_sel:
-        final = final.with_columns(
-            pl.struct(
-                **{c: pl.col(f"_fx_{c}") for c in added_sel}
-            ).struct.json_encode().alias("extra_json")
-        ).drop([f"_fx_{c}" for c in added_sel])
+    values = {c: pl.col(c) for c in pay}
+    values.update({c: _extra_value_expr(tl, c) for c in added_sel})
+    win, col_repl = lww_winners(upd, tl, pay + added_sel, values,
+                                cfg.strategy == "replace_only")
 
-    # row lineage: last contributing event (applied updates ∪ insert anchors)
-    contrib = pl.concat(
-        [
-            upd.select("key", "lsn", "status"),
-            anchor.filter(pl.col("op") == "insert").select("key", "lsn", "status"),
-        ],
-        how="vertical",
-    )
-    last = (
-        contrib.sort(["key", "lsn"])
-        .unique(subset=["key"], keep="last", maintain_order=True)
-        .select("key", pl.col("lsn").alias("_llsn"), pl.col("status").alias("_lstatus"))
-    )
-    final = final.join(last, on="key", how="left").with_columns(
+    def _winner_or(c: str, fallback: str):
+        return (pl.when(pl.col(f"_has_{c}").fill_null(False))
+                .then(pl.col(f"_w_{c}")).otherwise(pl.col(fallback)))
+
+    # DDL-added columns: winner value from the event's extra_json payload,
+    # anchor's stored value as fallback; final rows re-key canonically.
+    # Lineage: an applied update's lsn always exceeds its anchor's, so the
+    # last applied update (else the anchor itself) is the last contributor
+    final = final.join(win, on="key", how="left").with_columns(
+        *[_winner_or(c, c).alias(c) for c in pay],
+        *([pl.struct(**{c: _winner_or(c, f"_aex_{c}") for c in added_sel})
+           .struct.json_encode().alias("extra_json")] if added_sel else []),
         pl.coalesce([pl.col("_llsn"), pl.col("lsn")]).alias("last_lsn"),
         pl.coalesce([pl.col("_lstatus"), pl.col("status")]).alias("status"),
     )
@@ -438,21 +475,17 @@ def fold_salted_stage1(
         subset=["key"], keep="last", maintain_order=True
     )
     upd = applied.filter(pl.col("op") == "update")
-    winner_lsns: set[int] = set()
-    for c in list(PAYLOAD_COLUMNS) + tl.added:
-        if payload_cols is not None and c not in payload_cols:
-            continue
-        wc = upd.filter(_writes_expr(tl, c))
-        if wc.height:
-            w = wc.sort(["key", "lsn"]).unique(subset=["key"], keep="last")
-            winner_lsns.update(w["lsn"].to_list())
-    # lineage candidate: the per-key max-lsn update contributes last_lsn /
-    # status even when its (stale, post-DDL) mask writes NO column — it
-    # must be forwarded or the merge's row lineage could miss it
-    if upd.height:
-        lin = upd.sort(["key", "lsn"]).unique(subset=["key"], keep="last")
-        winner_lsns.update(lin["lsn"].to_list())
-    winners = upd.filter(pl.col("lsn").is_in(sorted(winner_lsns))) if winner_lsns else upd.head(0)
+    wcols = [c for c in list(PAYLOAD_COLUMNS) + tl.added
+             if payload_cols is None or c in payload_cols]
+    win, _ = lww_winners(upd, tl, wcols, {c: pl.col("lsn") for c in wcols})
+    # forward each column's winner, plus the lineage candidate: the per-key
+    # max-lsn update contributes last_lsn / status even when its (stale,
+    # post-DDL) mask writes NO column — it must be forwarded or the merge's
+    # row lineage could miss it
+    winner_lsns = pl.concat(
+        [win.select(pl.col(n).alias("lsn"))
+         for n in ["_llsn", *[f"_w_{c}" for c in wcols]]])["lsn"]
+    winners = upd.filter(pl.col("lsn").is_in(winner_lsns.drop_nulls().implode()))
     _strip_types = {"tokens": pl.List(pl.Int32), "n_tok": pl.Int32,
                     "source": pl.String, "extra_json": pl.String,
                     "title": pl.String, "match_title": pl.String}
@@ -542,13 +575,9 @@ def fold_salted_merge(
         & (pl.col("_aop") != "delete")
     ).fill_null(False)
     noops = meta.filter(~applies)
-    applied_meta = meta.filter(applies)
-    col_repl = {}
-    for c in _pay + _added_sel:
-        wc = applied_meta.filter(_writes_expr(tl, c))
-        if cfg.strategy == "replace_only":
-            wc = wc.filter(pl.col(f"_ahas_{c}"))
-        col_repl[c] = wc.height
+    cols = _pay + _added_sel
+    col_repl = _flag_counts(meta.filter(applies).select(_write_flags(
+        tl, cols, cfg.strategy == "replace_only")), cols)
 
     # state-side metrics come from the fold, update-side numbers (noop /
     # col_replacements) from the complete metadata
